@@ -1,40 +1,11 @@
-"""Kernel backend selection.
+"""Kernel backend report.
 
-Hot grid kernels ship in two versions: loop bodies compiled with numba and
-vectorized numpy fallbacks.  The VECHERALD_BACKEND environment variable picks
-one at import time:
-
-    auto   use numba when importable, numpy otherwise (default)
-    numba  require numba, fail loudly if missing
-    numpy  force the pure-numpy path
-
-Both paths produce identical results to floating tolerance; the benchmark in
-benchmarks/bench_kernels.py compares their throughput.
+The grid kernels in kernels.py are vectorized numpy; there is no other
+implementation to select.  HAS_NUMBA only records whether numba happens to be
+importable, for run metadata.
 """
 
-import os
+import importlib.util
 
-try:
-    import numba as nb
-    HAS_NUMBA = True
-except ImportError:
-    nb = None
-    HAS_NUMBA = False
-
-_choice = os.environ.get("VECHERALD_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"VECHERALD_BACKEND={_choice!r} not understood; use auto, numba, or numpy"
-    )
-if _choice == "numba" and not HAS_NUMBA:
-    raise RuntimeError("VECHERALD_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = HAS_NUMBA if _choice == "auto" else _choice == "numba"
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-def compile_kernel(func):
-    """Compile a loop kernel with numba; cached so repeat runs skip the JIT."""
-    if not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is missing")
-    return nb.njit(cache=True)(func)
+BACKEND = "numpy"
+HAS_NUMBA = importlib.util.find_spec("numba") is not None

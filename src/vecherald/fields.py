@@ -9,7 +9,7 @@ vortex axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -63,16 +63,10 @@ def make_grid(nx: int = 256, ny: int = 256, half_width: float = 4.0) -> GridSpec
 
 @dataclass
 class ScalarField:
-    """Complex scalar amplitude sampled on a grid.
-
-    When the field came from an analytic mode (or a linear combination of
-    them) the closed form is kept in `generator`, and resampling operations
-    re-evaluate it instead of interpolating.
-    """
+    """Complex scalar amplitude sampled on a grid."""
 
     grid: GridSpec
     samples: np.ndarray
-    generator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.samples.shape != (self.grid.ny, self.grid.nx):
@@ -84,12 +78,28 @@ class ScalarField:
             object.__setattr__(self, "samples", self.samples.astype(np.complex128))
 
 
+def _check_shift(grid: GridSpec, dx: float, dy: float) -> None:
+    """Shifts stay under half the window half-width so the support stays inside."""
+    hw = grid.half_width
+    if not (abs(dx) < 0.5 * hw and abs(dy) < 0.5 * hw):
+        raise ValueError(f"shift ({dx}, {dy}) exceeds half_width/2 = {0.5 * hw}")
+
+
+def _normalized(grid: GridSpec, raw: np.ndarray, centred: np.ndarray) -> ScalarField:
+    """raw scaled by 1/norm of the centred samples, so a shift keeps the scale."""
+    norm = np.sqrt(np.sum(np.abs(centred) ** 2) * grid.pixel_area)
+    if norm == 0.0:
+        raise ValueError("mode vanishes on this grid")
+    return ScalarField(grid=grid, samples=raw * (1.0 / norm))
+
+
 def lg_mode(grid: GridSpec, ell: int, waist: float = 1.0,
             center: tuple[float, float] = (0.0, 0.0)) -> ScalarField:
     """Laguerre-Gauss mode with zero radial order, normalized to unit power.
 
     Amplitude goes as (sqrt(2) r / w)^|ell| exp(-r^2/w^2) exp(i ell phi); the
-    intensity ring of the ell-th mode peaks at r = w sqrt(|ell|/2).
+    intensity ring of the ell-th mode peaks at r = w sqrt(|ell|/2).  A nonzero
+    center shifts the closed form exactly and keeps the centred mode's scale.
     """
     if int(ell) != ell:
         raise ValueError("ell must be an integer")
@@ -97,45 +107,38 @@ def lg_mode(grid: GridSpec, ell: int, waist: float = 1.0,
     if not waist > 0:
         raise ValueError("waist must be positive")
     x0, y0 = center
+    _check_shift(grid, x0, y0)
     xg, yg = grid.meshes()
     raw = kernels.lg_samples(xg - x0, yg - y0, ell, waist)
-    norm = np.sqrt(np.sum(np.abs(raw) ** 2) * grid.pixel_area)
-    if norm == 0.0:
-        raise ValueError("mode vanishes on this grid")
-    scale = 1.0 / norm
-
-    def gen(px, py, _ell=ell, _w=waist, _s=scale, _x0=x0, _y0=y0):
-        return kernels.lg_samples(np.ascontiguousarray(px - _x0),
-                                  np.ascontiguousarray(py - _y0), _ell, _w) * _s
-
-    return ScalarField(grid=grid, samples=raw * scale, generator=gen)
+    centred = raw if x0 == 0.0 and y0 == 0.0 else kernels.lg_samples(xg, yg, ell, waist)
+    return _normalized(grid, raw, centred)
 
 
-def gaussian_helical_mode(grid: GridSpec, ell: int, waist: float = 1.0) -> ScalarField:
+def _helical_samples(xg, yg, ell: int, waist: float) -> np.ndarray:
+    raw = kernels.lg_samples(xg, yg, 0, waist).real.astype(np.complex128)
+    if ell:
+        raw = raw * np.exp(1j * ell * np.arctan2(yg, xg))
+    return raw
+
+
+def gaussian_helical_mode(grid: GridSpec, ell: int, waist: float = 1.0,
+                          center: tuple[float, float] = (0.0, 0.0)) -> ScalarField:
     """Fundamental Gaussian envelope carrying a pure helical phase exp(i ell phi).
 
     Unlike lg_mode the radial profile does not depend on ell, which makes the
     family closed under pointwise azimuthal-phase operations.  Used for
-    representation-consistency checks of the plate operator.
+    representation-consistency checks of the plate operator.  center shifts
+    it as in lg_mode.
     """
     if int(ell) != ell:
         raise ValueError("ell must be an integer")
     ell = int(ell)
+    x0, y0 = center
+    _check_shift(grid, x0, y0)
     xg, yg = grid.meshes()
-    raw = kernels.lg_samples(xg, yg, 0, waist).real.astype(np.complex128)
-    if ell:
-        raw = raw * np.exp(1j * ell * np.arctan2(yg, xg))
-    norm = np.sqrt(np.sum(np.abs(raw) ** 2) * grid.pixel_area)
-    scale = 1.0 / norm
-
-    def gen(px, py, _ell=ell, _w=waist, _s=scale):
-        base = kernels.lg_samples(np.ascontiguousarray(px),
-                                  np.ascontiguousarray(py), 0, _w)
-        if _ell:
-            base = base * np.exp(1j * _ell * np.arctan2(py, px))
-        return base * _s
-
-    return ScalarField(grid=grid, samples=raw * scale, generator=gen)
+    raw = _helical_samples(xg - x0, yg - y0, ell, waist)
+    centred = raw if x0 == 0.0 and y0 == 0.0 else _helical_samples(xg, yg, ell, waist)
+    return _normalized(grid, raw, centred)
 
 
 def overlap(a: ScalarField, b: ScalarField) -> complex:
@@ -150,24 +153,14 @@ def power(f: ScalarField) -> float:
 
 
 def translate(f: ScalarField, dx: float, dy: float) -> ScalarField:
-    """Shift the field by (dx, dy).
+    """Shift sampled values by (dx, dy) with bilinear interpolation.
 
-    Analytic fields are re-evaluated at the shifted coordinates, which is
-    exact; sampled-only fields fall back to bilinear interpolation.  Shifts
-    are capped at half of the window half-width so the support stays inside
-    the grid.
+    For an exact shift of an analytic mode use the mode's center argument.
+    Shifts are capped at half of the window half-width.
     """
+    _check_shift(f.grid, dx, dy)
     hw = f.grid.half_width
-    if abs(dx) >= 0.5 * hw or abs(dy) >= 0.5 * hw:
-        raise ValueError(f"shift ({dx}, {dy}) exceeds half_width/2 = {0.5 * hw}")
     xg, yg = f.grid.meshes()
-    if f.generator is not None:
-        old = f.generator
-
-        def gen(px, py, _g=old, _dx=dx, _dy=dy):
-            return _g(px - _dx, py - _dy)
-
-        return ScalarField(grid=f.grid, samples=old(xg - dx, yg - dy), generator=gen)
     vals = kernels.bilinear_sample(
         f.samples, (xg - dx).ravel(), (yg - dy).ravel(),
         -hw, -hw, f.grid.pitch_x, f.grid.pitch_y)
@@ -178,8 +171,7 @@ def superpose(pairs: Sequence[Tuple["VectorField", complex]]) -> "VectorField":
     """Coherent weighted sum of polarized fields, renormalized to unit power.
 
     Each entry is (field, weight).  Fields are converted to the basis of the
-    first entry before summing; generators survive when every component has
-    one.
+    first entry before summing.
     """
     pairs = list(pairs)
     if not pairs:
@@ -199,20 +191,8 @@ def superpose(pairs: Sequence[Tuple["VectorField", complex]]) -> "VectorField":
     norm = np.sqrt((np.sum(np.abs(s1) ** 2) + np.sum(np.abs(s2) ** 2)) * grid.pixel_area)
     if norm < 1e-12:
         raise ValueError("superposition cancels to zero power")
-
-    def build(slot, total):
-        gens = tuple((getattr(vf, slot).generator, w) for vf, w in converted)
-        gen = None
-        if all(g is not None for g, _ in gens):
-            def gen(px, py, _pairs=gens, _n=norm):
-                acc = _pairs[0][1] * _pairs[0][0](px, py)
-                for g, w in _pairs[1:]:
-                    acc = acc + w * g(px, py)
-                return acc / _n
-        return ScalarField(grid=grid, samples=total / norm, generator=gen)
-
-    return VectorField(grid=grid, comp1=build("comp1", s1),
-                       comp2=build("comp2", s2), basis=basis)
+    return VectorField(grid=grid, comp1=ScalarField(grid, s1 / norm),
+                       comp2=ScalarField(grid, s2 / norm), basis=basis)
 
 
 @dataclass
@@ -242,22 +222,10 @@ def vector_power(vf: VectorField) -> float:
 
 
 def _combine(f1: ScalarField, f2: ScalarField, m11, m12, m21, m22) -> tuple:
-    """Pointwise 2x2 linear map of two scalar fields, generators preserved."""
+    """Pointwise 2x2 linear map of two scalar fields."""
     s1 = m11 * f1.samples + m12 * f2.samples
     s2 = m21 * f1.samples + m22 * f2.samples
-    g1 = g2 = None
-    if f1.generator is not None and f2.generator is not None:
-        ga, gb = f1.generator, f2.generator
-
-        def g1(px, py, _a=ga, _b=gb, _m=(m11, m12)):
-            return _m[0] * _a(px, py) + _m[1] * _b(px, py)
-
-        def g2(px, py, _a=ga, _b=gb, _m=(m21, m22)):
-            return _m[0] * _a(px, py) + _m[1] * _b(px, py)
-
-    grid = f1.grid
-    return (ScalarField(grid=grid, samples=s1, generator=g1),
-            ScalarField(grid=grid, samples=s2, generator=g2))
+    return ScalarField(f1.grid, s1), ScalarField(f1.grid, s2)
 
 
 # Rows are the target-basis components expressed in the source components.
@@ -301,10 +269,8 @@ _LABEL_SLOT = {"H": ("HV", 0), "V": ("HV", 1), "D": ("DA", 0),
                "A": ("DA", 1), "L": ("LR", 0), "R": ("LR", 1)}
 
 
-def _zero_scalar(grid: GridSpec) -> ScalarField:
-    return ScalarField(grid=grid,
-                       samples=np.zeros((grid.ny, grid.nx), np.complex128),
-                       generator=lambda px, py: np.zeros_like(px, np.complex128))
+def zero_scalar(grid: GridSpec) -> ScalarField:
+    return ScalarField(grid=grid, samples=np.zeros((grid.ny, grid.nx), np.complex128))
 
 
 def polarized_mode(grid: GridSpec, pol: str, ell: int, waist: float = 1.0) -> VectorField:
@@ -313,6 +279,6 @@ def polarized_mode(grid: GridSpec, pol: str, ell: int, waist: float = 1.0) -> Ve
         raise ValueError(f"unknown polarization label {pol!r}")
     basis, slot = _LABEL_SLOT[pol]
     mode = lg_mode(grid, ell, waist)
-    zero = _zero_scalar(grid)
+    zero = zero_scalar(grid)
     comps = (mode, zero) if slot == 0 else (zero, mode)
     return VectorField(grid=grid, comp1=comps[0], comp2=comps[1], basis=basis)

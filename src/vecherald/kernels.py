@@ -1,101 +1,13 @@
-"""Grid kernels with numba and numpy implementations.
+"""Grid kernels, vectorized with numpy.
 
 These four routines dominate the runtime of every pipeline: mode synthesis,
 pointwise retarder application, Stokes evaluation, and bilinear sampling.
-Loop bodies are written for numba compilation; the numpy versions are the
-fallback path.  See backend.py for how one gets selected.
 """
 
 import numpy as np
 
-from . import backend
 
-
-# ---------------------------------------------------------------- loop bodies
-
-def _lg_samples_loops(xg, yg, ell, w0):
-    ny, nx = xg.shape
-    out = np.empty((ny, nx), np.complex128)
-    k = abs(ell)
-    for iy in range(ny):
-        for ix in range(nx):
-            x = xg[iy, ix]
-            y = yg[iy, ix]
-            r2 = x * x + y * y
-            amp = np.exp(-r2 / (w0 * w0))
-            if k:
-                amp *= (np.sqrt(2.0 * r2) / w0) ** k
-            ph = ell * np.arctan2(y, x)
-            out[iy, ix] = amp * complex(np.cos(ph), np.sin(ph))
-    return out
-
-
-def _retarder_apply_loops(eh, ev, two_beta, delta):
-    ny, nx = eh.shape
-    oh = np.empty_like(eh)
-    ov = np.empty_like(ev)
-    c = np.cos(0.5 * delta)
-    js = 1j * np.sin(0.5 * delta)
-    for iy in range(ny):
-        for ix in range(nx):
-            cb = np.cos(two_beta[iy, ix])
-            sb = np.sin(two_beta[iy, ix])
-            a = eh[iy, ix]
-            b = ev[iy, ix]
-            oh[iy, ix] = c * a + js * (cb * a + sb * b)
-            ov[iy, ix] = c * b + js * (sb * a - cb * b)
-    return oh, ov
-
-
-def _stokes_from_hv_loops(eh, ev):
-    ny, nx = eh.shape
-    s0 = np.empty((ny, nx), np.float64)
-    s1 = np.empty((ny, nx), np.float64)
-    s2 = np.empty((ny, nx), np.float64)
-    s3 = np.empty((ny, nx), np.float64)
-    for iy in range(ny):
-        for ix in range(nx):
-            a = eh[iy, ix]
-            b = ev[iy, ix]
-            ih = a.real * a.real + a.imag * a.imag
-            iv = b.real * b.real + b.imag * b.imag
-            cross = a * np.conj(b)
-            s0[iy, ix] = ih + iv
-            s1[iy, ix] = ih - iv
-            s2[iy, ix] = 2.0 * cross.real
-            s3[iy, ix] = -2.0 * cross.imag
-    return s0, s1, s2, s3
-
-
-def _bilinear_sample_loops(values, xs, ys, x0, y0, dx, dy):
-    ny, nx = values.shape
-    n = xs.shape[0]
-    out = np.empty(n, values.dtype)
-    for i in range(n):
-        fx = (xs[i] - x0) / dx
-        fy = (ys[i] - y0) / dy
-        ix = int(np.floor(fx))
-        iy = int(np.floor(fy))
-        if ix < 0:
-            ix = 0
-        elif ix > nx - 2:
-            ix = nx - 2
-        if iy < 0:
-            iy = 0
-        elif iy > ny - 2:
-            iy = ny - 2
-        u = fx - ix
-        v = fy - iy
-        out[i] = (values[iy, ix] * (1.0 - u) * (1.0 - v)
-                  + values[iy, ix + 1] * u * (1.0 - v)
-                  + values[iy + 1, ix] * (1.0 - u) * v
-                  + values[iy + 1, ix + 1] * u * v)
-    return out
-
-
-# ------------------------------------------------------------ numpy fallbacks
-
-def _lg_samples_numpy(xg, yg, ell, w0):
+def lg_samples(xg, yg, ell, w0):
     r2 = xg * xg + yg * yg
     amp = np.exp(-r2 / (w0 * w0))
     if ell:
@@ -103,7 +15,7 @@ def _lg_samples_numpy(xg, yg, ell, w0):
     return amp * np.exp(1j * ell * np.arctan2(yg, xg))
 
 
-def _retarder_apply_numpy(eh, ev, two_beta, delta):
+def retarder_apply(eh, ev, two_beta, delta):
     c = np.cos(0.5 * delta)
     js = 1j * np.sin(0.5 * delta)
     cb = np.cos(two_beta)
@@ -113,14 +25,14 @@ def _retarder_apply_numpy(eh, ev, two_beta, delta):
     return oh, ov
 
 
-def _stokes_from_hv_numpy(eh, ev):
+def stokes_from_hv(eh, ev):
     ih = np.abs(eh) ** 2
     iv = np.abs(ev) ** 2
     cross = eh * np.conj(ev)
     return ih + iv, ih - iv, 2.0 * cross.real, -2.0 * cross.imag
 
 
-def _bilinear_sample_numpy(values, xs, ys, x0, y0, dx, dy):
+def bilinear_sample(values, xs, ys, x0, y0, dx, dy):
     ny, nx = values.shape
     fx = (xs - x0) / dx
     fy = (ys - y0) / dy
@@ -132,34 +44,3 @@ def _bilinear_sample_numpy(values, xs, ys, x0, y0, dx, dy):
             + values[iy, ix + 1] * u * (1.0 - v)
             + values[iy + 1, ix] * (1.0 - u) * v
             + values[iy + 1, ix + 1] * u * v)
-
-
-NUMPY_IMPLS = {
-    "lg_samples": _lg_samples_numpy,
-    "retarder_apply": _retarder_apply_numpy,
-    "stokes_from_hv": _stokes_from_hv_numpy,
-    "bilinear_sample": _bilinear_sample_numpy,
-}
-
-_LOOP_IMPLS = {
-    "lg_samples": _lg_samples_loops,
-    "retarder_apply": _retarder_apply_loops,
-    "stokes_from_hv": _stokes_from_hv_loops,
-    "bilinear_sample": _bilinear_sample_loops,
-}
-
-
-def numba_impls():
-    """Compile and return the numba versions regardless of the active backend."""
-    return {name: backend.compile_kernel(fn) for name, fn in _LOOP_IMPLS.items()}
-
-
-if backend.USE_NUMBA:
-    _active = numba_impls()
-else:
-    _active = NUMPY_IMPLS
-
-lg_samples = _active["lg_samples"]
-retarder_apply = _active["retarder_apply"]
-stokes_from_hv = _active["stokes_from_hv"]
-bilinear_sample = _active["bilinear_sample"]

@@ -21,7 +21,8 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, VectorField, lg_mode, gaussian_helical_mode
+from .fields import (GridSpec, ScalarField, VectorField, gaussian_helical_mode,
+                     lg_mode, zero_scalar)
 
 POL_LABELS = ("H", "V", "D", "A", "L", "R")
 BASIS_PAIR = {"HV": ("H", "V"), "DA": ("D", "A"), "LR": ("L", "R")}
@@ -366,19 +367,9 @@ def ket_to_field(k: PolKet, grid: GridSpec, waist: float = 1.0,
             total = np.zeros((grid.ny, grid.nx), np.complex128)
             for f, (_, amp) in zip(modes, entries):
                 total += amp * f.samples
-            pairs = tuple((f.generator, complex(amp)) for f, (_, amp) in zip(modes, entries))
-
-            def gen(px, py, _pairs=pairs):
-                acc = _pairs[0][1] * _pairs[0][0](px, py)
-                for g, w in _pairs[1:]:
-                    acc = acc + w * g(px, py)
-                return acc
-
-            comps.append(ScalarField(grid=grid, samples=total, generator=gen))
+            comps.append(ScalarField(grid=grid, samples=total))
         else:
-            zero = np.zeros((grid.ny, grid.nx), np.complex128)
-            comps.append(ScalarField(grid=grid, samples=zero,
-                                     generator=lambda px, py: np.zeros_like(px, np.complex128)))
+            comps.append(zero_scalar(grid))
     return VectorField(grid=grid, comp1=comps[0], comp2=comps[1], basis=k.basis)
 
 

@@ -92,8 +92,7 @@ class EllipseMap:
 def stokes_of_field(f: VectorField) -> StokesMap:
     """Analytic Stokes parameters of a fully polarized sampled field."""
     eh, ev = hv_arrays(f)
-    s0, s1, s2, s3 = kernels.stokes_from_hv(
-        np.ascontiguousarray(eh), np.ascontiguousarray(ev))
+    s0, s1, s2, s3 = kernels.stokes_from_hv(eh, ev)
     return StokesMap(grid=f.grid, s0=s0, s1=s1, s2=s2, s3=s3)
 
 
@@ -102,8 +101,6 @@ def simulate_frames(f: VectorField, cfg: Optional[PolarimeterConfig] = None) -> 
     if cfg is None:
         cfg = PolarimeterConfig()
     eh, ev = hv_arrays(f)
-    eh = np.ascontiguousarray(eh)
-    ev = np.ascontiguousarray(ev)
     frames = np.empty((len(cfg.angles), f.grid.ny, f.grid.nx), np.float64)
     beta = np.empty((f.grid.ny, f.grid.nx), np.float64)
     for i, th in enumerate(cfg.angles):

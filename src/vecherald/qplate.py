@@ -87,27 +87,5 @@ def qplate_apply_field(f: VectorField, p: QPlateParams) -> VectorField:
     two_beta = 2.0 * (p.charge * np.arctan2(yg, xg) + p.axis_offset)
     oh, ov = kernels.retarder_apply(hv.comp1.samples, hv.comp2.samples,
                                     two_beta, p.retardance)
-    gh = gv = None
-    if hv.comp1.generator is not None and hv.comp2.generator is not None:
-        ga, gb = hv.comp1.generator, hv.comp2.generator
-
-        def _apply_at(px, py, _ga=ga, _gb=gb, _p=p):
-            tb = 2.0 * (_p.charge * np.arctan2(py, px) + _p.axis_offset)
-            a = _ga(px, py)
-            b = _gb(px, py)
-            c = np.cos(0.5 * _p.retardance)
-            js = 1j * np.sin(0.5 * _p.retardance)
-            return (c * a + js * (np.cos(tb) * a + np.sin(tb) * b),
-                    c * b + js * (np.sin(tb) * a - np.cos(tb) * b))
-
-        def gh(px, py):
-            return _apply_at(px, py)[0]
-
-        def gv(px, py):
-            return _apply_at(px, py)[1]
-
-    return VectorField(
-        grid=f.grid,
-        comp1=ScalarField(grid=f.grid, samples=oh, generator=gh),
-        comp2=ScalarField(grid=f.grid, samples=ov, generator=gv),
-        basis="HV")
+    return VectorField(grid=f.grid, comp1=ScalarField(f.grid, oh),
+                       comp2=ScalarField(f.grid, ov), basis="HV")

@@ -17,8 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fileio
-from .fields import (GridSpec, ScalarField, VectorField, _zero_scalar,
-                     gaussian_helical_mode, lg_mode, make_grid, translate)
+from .fields import (GridSpec, ScalarField, VectorField, gaussian_helical_mode,
+                     lg_mode, make_grid, zero_scalar)
+from .fields import translate  # noqa: F401 - unused here; perfbench/tracing.py wraps it
 from .kets import (PolKet, PumpSpec, SpdcConfig, basis_change,
                    coincidence_probability, degraded_bell_state, herald,
                    ket_to_field, project_idler_oam0, pump_state, spdc_state,
@@ -77,6 +78,11 @@ class ScenarioConfig:
             raise ValueError(f"herald must be one of {HERALD_LABELS}, got {self.herald!r}")
         if self.envelope not in ("lg", "gaussian"):
             raise ValueError(f"envelope must be 'lg' or 'gaussian', got {self.envelope!r}")
+        for name in ("offset_dx", "offset_dy", "half_width", "waist"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.waist > 0:
+            raise ValueError(f"waist must be positive, got {self.waist}")
         if np.hypot(self.offset_dx, self.offset_dy) >= 0.5:
             raise ValueError("offset magnitude must stay under half a waist")
         if self.offset_applies_to not in ("signal", "pump"):
@@ -87,6 +93,8 @@ class ScenarioConfig:
             _check_keys(self.qplate, _QPLATE_KEYS, "qplate")
         if self.angles is not None:
             self.angles = tuple(float(a) for a in self.angles)
+            if len(self.angles) < 4:
+                raise ValueError("need at least 4 analyzer angles")
 
     def resolved_phase(self) -> float:
         if self.pump_phase is not None:
@@ -208,25 +216,6 @@ def _pump_ket(cfg: ScenarioConfig) -> PolKet:
     return qplate_apply_ket(PolKet.from_terms([(seed_pol, seed_ell, 1.0)]), plate)
 
 
-def _acc(a: Optional[ScalarField], b: ScalarField) -> ScalarField:
-    if a is None:
-        return b
-    ga, gb = a.generator, b.generator
-    gen = None
-    if ga is not None and gb is not None:
-        def gen(px, py, _a=ga, _b=gb):
-            return _a(px, py) + _b(px, py)
-    return ScalarField(a.grid, a.samples + b.samples, generator=gen)
-
-
-def _scaled(f: ScalarField, amp: complex) -> ScalarField:
-    gen = None
-    if f.generator is not None:
-        def gen(px, py, _g=f.generator, _a=amp):
-            return _a * _g(px, py)
-    return ScalarField(f.grid, amp * f.samples, generator=gen)
-
-
 def _offset_constituent(kl: PolKet) -> Tuple[str, int]:
     """The constituent the non-concentricity shift lands on.
 
@@ -244,15 +233,14 @@ def _synthesize(k: PolKet, grid: GridSpec, waist: float, envelope: str,
     kl = basis_change(k, "LR")
     target = _offset_constituent(kl)
     make = lg_mode if envelope == "lg" else gaussian_helical_mode
-    slots: Dict[str, Optional[ScalarField]] = {"L": None, "R": None}
+    slots: Dict[str, Optional[np.ndarray]] = {"L": None, "R": None}
     for key in sorted(kl.terms):
         pol, ell = key
-        mode = make(grid, ell, waist)
-        if key == target:
-            mode = translate(mode, dx, dy)
-        slots[pol] = _acc(slots[pol], _scaled(mode, kl.terms[key]))
-    comp_l = slots["L"] if slots["L"] is not None else _zero_scalar(grid)
-    comp_r = slots["R"] if slots["R"] is not None else _zero_scalar(grid)
+        center = (dx, dy) if key == target else (0.0, 0.0)
+        term = kl.terms[key] * make(grid, ell, waist, center=center).samples
+        slots[pol] = term if slots[pol] is None else slots[pol] + term
+    comp_l, comp_r = (zero_scalar(grid) if slots[pol] is None
+                      else ScalarField(grid, slots[pol]) for pol in "LR")
     return VectorField(grid, comp_l, comp_r, basis="LR")
 
 

@@ -34,7 +34,7 @@ def _ring_values(arr: np.ndarray, grid, center, radius: float, n: int) -> np.nda
     th = np.arange(n) * (2.0 * np.pi / n)
     xs = center[0] + radius * np.cos(th)
     ys = center[1] + radius * np.sin(th)
-    return kernels.bilinear_sample(np.ascontiguousarray(arr), xs, ys,
+    return kernels.bilinear_sample(arr, xs, ys,
                                    -grid.half_width, -grid.half_width,
                                    grid.pitch_x, grid.pitch_y)
 
@@ -256,7 +256,7 @@ def find_singularities(s: StokesMap, threshold: float = 0.1,
     s0max = s.s0.max()
     for x, y in sorted(_merge_close(refined, min_separation)):
         s0_here = float(kernels.bilinear_sample(
-            np.ascontiguousarray(s.s0), np.array([x]), np.array([y]),
+            s.s0, np.array([x]), np.array([y]),
             -g.half_width, -g.half_width, g.pitch_x, g.pitch_y)[0])
         # Dark relative to its own immediate surroundings marks a full
         # intensity null; an absolute floor alone fails on coarse grids.

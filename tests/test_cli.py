@@ -48,6 +48,18 @@ def test_unknown_key_exits_three(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["offset.dx=NaN", "waist=-1",
+                                      "grid.half_width=Infinity",
+                                      "polarimeter.n_angles=3"])
+def test_invalid_value_exits_three_before_compute(tmp_path, capsys, override):
+    out = tmp_path / "run"
+    code = parse_and_dispatch(["herald", "--set", "herald=A", "--set", override,
+                               "--out", str(out)])
+    assert code == 3
+    assert "error: config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_herald_requires_label(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"pump": {"kind": "FP", "charge": 0.5}}))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vecherald import kernels
 from vecherald.fields import (GridSpec, ScalarField, VectorField, convert_basis,
                               gaussian_helical_mode, hv_arrays, lg_mode,
                               make_grid, overlap, polarized_mode, power,
@@ -43,27 +44,38 @@ def test_lg_orthogonality():
     assert overlap(lg_mode(g, 1), lg_mode(g, 1)).real == pytest.approx(1.0, abs=1e-9)
 
 
-def test_generator_matches_samples():
-    g = make_grid(64, 64, 4.0)
-    for maker in (lambda: lg_mode(g, 2), lambda: gaussian_helical_mode(g, -1)):
-        m = maker()
-        xg, yg = g.meshes()
-        again = m.generator(xg, yg)
-        assert np.abs(again - m.samples).max() < 1e-15
+def _closed_form(make, x, y, ell, waist):
+    if make is lg_mode:
+        return kernels.lg_samples(x, y, ell, waist)
+    return (kernels.lg_samples(x, y, 0, waist).real.astype(np.complex128)
+            * np.exp(1j * ell * np.arctan2(y, x)))
 
 
-def test_translate_exact_via_generator():
-    g = make_grid(96, 96, 4.0)
-    m = lg_mode(g, 1)
-    shifted = translate(m, 0.3, -0.2)
-    direct = lg_mode(g, 1, center=(0.3, -0.2))
-    assert np.abs(shifted.samples - direct.samples).max() < 1e-12
+@pytest.mark.parametrize("make", [lg_mode, gaussian_helical_mode],
+                         ids=lambda f: f.__name__)
+def test_center_shift_exact(make):
+    # A shifted mode is the closed form at (x - dx, y - dy) scaled by the
+    # centred mode's 1/norm, bit for bit; the window clips the shifted mode.
+    g = make_grid(96, 96, 2.0)
+    dx, dy = 0.9, -0.6
+    xg, yg = g.meshes()
+    centred = _closed_form(make, xg, yg, 1, 1.0)
+    scale = 1.0 / np.sqrt(np.sum(np.abs(centred) ** 2) * g.pixel_area)
+    shifted = make(g, 1, center=(dx, dy))
+    assert np.array_equal(shifted.samples,
+                          _closed_form(make, xg - dx, yg - dy, 1, 1.0) * scale)
+    assert np.array_equal(make(g, 1).samples, centred * scale)
+    assert power(shifted) < 0.99
 
 
 def test_translate_shift_limit():
     g = make_grid(64, 64, 4.0)
     with pytest.raises(ValueError):
         translate(lg_mode(g, 0), 3.0, 0.0)
+    for make in (lg_mode, gaussian_helical_mode):
+        for center in ((2.0, 0.0), (0.0, -2.5), (np.nan, 0.0)):
+            with pytest.raises(ValueError):
+                make(g, 1, center=center)
 
 
 def test_superpose_unit_power_and_basis():

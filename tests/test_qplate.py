@@ -86,11 +86,3 @@ def test_field_and_ket_routes_agree():
     assert np.abs(ah - bh).max() < 1e-12
     assert np.abs(av - bv).max() < 1e-12
 
-
-def test_field_route_generator_consistency():
-    g = make_grid(64, 64, 4.0)
-    f = qplate_apply_field(ket_to_field(PolKet.from_terms([("H", 0, 1.0)]), g),
-                           QPlateParams(0.5, np.pi, 0.0))
-    xg, yg = g.meshes()
-    for comp in (f.comp1, f.comp2):
-        assert np.abs(comp.generator(xg, yg) - comp.samples).max() < 1e-12
