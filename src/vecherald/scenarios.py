@@ -49,6 +49,13 @@ def _check_keys(doc: Dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown {where} config keys: {sorted(unknown)}")
 
 
+def _integer(value, name: str) -> int:
+    """A config count or seed; int() alone would truncate 64.7 to 64."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass
 class ScenarioConfig:
     """One run: pump family (or plate on a uniform input), herald, analysis."""
@@ -78,11 +85,13 @@ class ScenarioConfig:
             raise ValueError(f"herald must be one of {HERALD_LABELS}, got {self.herald!r}")
         if self.envelope not in ("lg", "gaussian"):
             raise ValueError(f"envelope must be 'lg' or 'gaussian', got {self.envelope!r}")
-        for name in ("offset_dx", "offset_dy", "half_width", "waist"):
+        for name in ("offset_dx", "offset_dy", "half_width", "waist", "noise_rms"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.waist > 0:
             raise ValueError(f"waist must be positive, got {self.waist}")
+        if self.noise_rms < 0:
+            raise ValueError(f"noise_rms must be nonnegative, got {self.noise_rms}")
         if np.hypot(self.offset_dx, self.offset_dy) >= 0.5:
             raise ValueError("offset magnitude must stay under half a waist")
         if self.offset_applies_to not in ("signal", "pump"):
@@ -129,7 +138,7 @@ class ScenarioConfig:
         _check_keys(off, {"dx", "dy", "applies_to"}, "offset")
         angles = pol.get("angles")
         if angles is None and "n_angles" in pol:
-            n = int(pol["n_angles"])
+            n = _integer(pol["n_angles"], "polarimeter.n_angles")
             angles = [k * np.pi / n for k in range(n)]
         spectrum = None
         if spdc.get("spectrum"):
@@ -146,14 +155,14 @@ class ScenarioConfig:
             pump_phase=None if pump.get("phase") is None else float(pump["phase"]),
             qplate=doc.get("qplate"),
             herald=str(doc.get("herald", "none")),
-            nx=int(grid.get("nx", 256)),
-            ny=int(grid.get("ny", 256)),
+            nx=_integer(grid.get("nx", 256), "grid.nx"),
+            ny=_integer(grid.get("ny", 256), "grid.ny"),
             half_width=float(grid.get("half_width", 4.0)),
             waist=float(doc.get("waist", 1.0)),
             envelope=str(doc.get("envelope", "lg")),
             angles=None if angles is None else tuple(float(a) for a in angles),
             noise_rms=float(pol.get("noise_rms", 0.0)),
-            seed=int(pol.get("seed", 0)),
+            seed=_integer(pol.get("seed", 0), "polarimeter.seed"),
             crystal_phase=float(spdc.get("crystal_phase", 0.0)),
             spectrum=spectrum,
             offset_dx=float(off.get("dx", 0.0)),

@@ -3,6 +3,9 @@
 All analyses run on Stokes maps (not on field phases), so the same code paths
 accept reconstructed data.  The azimuth is psi = atan2(S2, S1)/2; winding is
 accumulated around discretized circular loops with bilinear sampling.
+Singularity candidates are found with numpy only: pixels where the linear
+Stokes pair is small are grouped by run-length component labeling, and each
+component's centroid is the raster-order mean of its pixel coordinates.
 """
 
 from __future__ import annotations
@@ -159,18 +162,23 @@ def classify(report: SingularityReport, s: Optional[StokesMap] = None) -> str:
     return f"index {idx:g}"
 
 
-def _merge_close(points: List[Tuple[float, float]], min_sep: float) -> List[Tuple[float, float]]:
-    merged: List[List[float]] = []
+def _merge_close(points: Sequence[Tuple[float, float]],
+                 min_sep: float) -> List[Tuple[float, float]]:
+    """Greedy clustering: each point joins the first cluster whose running mean
+    lies within min_sep, else it opens a new cluster.  Returns cluster means."""
+    sx, sy, cnt = (np.empty(len(points)) for _ in range(3))
+    k = 0
     for x, y in points:
-        for m in merged:
-            if np.hypot(m[0] / m[2] - x, m[1] / m[2] - y) < min_sep:
-                m[0] += x
-                m[1] += y
-                m[2] += 1
-                break
+        hit = np.flatnonzero(np.hypot(sx[:k] / cnt[:k] - x, sy[:k] / cnt[:k] - y) < min_sep)
+        if hit.size:
+            j = hit[0]
+            sx[j] += x
+            sy[j] += y
+            cnt[j] += 1
         else:
-            merged.append([x, y, 1])
-    return [(m[0] / m[2], m[1] / m[2]) for m in merged]
+            sx[k], sy[k], cnt[k] = x, y, 1
+            k += 1
+    return list(zip((sx[:k] / cnt[:k]).tolist(), (sy[:k] / cnt[:k]).tolist()))
 
 
 def _refine_zero(s: StokesMap, x: float, y: float) -> Tuple[float, float]:
@@ -207,6 +215,59 @@ def _half_max_radius(s: StokesMap, center, grid) -> float:
     return float(radii[peak])
 
 
+def _run_labels(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Component number and length of each run of True pixels, in raster order.
+
+    Two-pass run-length labeling (Rosenfeld & Pfaltz, J. ACM 13, 471, 1966):
+    np.diff on the column-padded mask gives each row's runs, and a union-find
+    over runs joins those sharing a column on adjacent rows (4-connectivity).
+    Components are numbered by their first run, which is the raster order in
+    which a pixel scan first meets them.
+    """
+    w = mask.shape[1] + 1
+    edge = np.diff(np.pad(mask, ((0, 0), (1, 1))).view(np.int8), axis=1)
+    row, start = np.nonzero(edge == 1)
+    end = np.nonzero(edge == -1)[1]
+    # Runs on the row above that share a column with each run form the index
+    # range [lo, hi): their end lies past its start and their start before its
+    # end.  Keys row * w + column keep the search inside that row.
+    above = (row - 1) * w
+    lo = np.searchsorted(row * w + end, above + start, side="right")
+    hi = np.searchsorted(row * w + start, above + end, side="left")
+    n_up = hi - lo
+    first_edge = np.cumsum(n_up) - n_up
+    below = np.repeat(np.arange(row.size), n_up)
+    upper = np.repeat(lo - first_edge, n_up) + np.arange(below.size)
+    # Rounds of numpy hooking: the larger root of every edge that still joins
+    # two trees is pointed at the smaller one, then pointer jumping makes every
+    # run point straight at its root.  Pointers only ever decrease, so each
+    # component ends rooted at its first run.  np.minimum.at, because with
+    # plain assignment a repeated root keeps only its last write, and an edge
+    # inside one tree would undo the hook.
+    root = np.arange(row.size)
+    while True:
+        ra, rb = root[upper], root[below]
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    return np.unique(root, return_inverse=True)[1], end - start
+
+
+def _component_centroids(mask: np.ndarray, x_axis: np.ndarray,
+                         y_axis: np.ndarray) -> np.ndarray:
+    """(n, 2) centroids of the 4-connected components of a boolean mask, in
+    the order a raster scan meets them; each is the raster-order sum of its
+    pixels' axis values divided by the pixel count."""
+    # the run arrays die inside _run_labels, before the per-pixel arrays exist
+    label = np.repeat(*_run_labels(mask))
+    count = np.bincount(label)
+    iy, ix = np.nonzero(mask)
+    return np.column_stack([np.bincount(label, x_axis[ix]) / count,
+                            np.bincount(label, y_axis[iy]) / count])
+
+
 def find_singularities(s: StokesMap, threshold: float = 0.1,
                        min_separation: float = 0.3,
                        loop_radius: Optional[float] = None,
@@ -215,8 +276,10 @@ def find_singularities(s: StokesMap, threshold: float = 0.1,
     """Locate points where the linear Stokes pair (S1, S2) vanishes.
 
     Candidate pixels with hypot(S1, S2) under threshold times its peak are
-    clustered, refined to subpixel zeros, merged within min_separation, and
-    kept when the loop winding around them is nonzero.  Points sitting on an
+    grouped into 4-connected components by run-length labeling; component
+    centroids (raster-order means of the pixel coordinates) are merged within
+    min_separation, refined to subpixel zeros, merged again, and kept when
+    the loop winding around them is nonzero.  Points sitting on an
     intensity null are V-points; the loop there is pushed out to the
     half-maximum radius of S0.  Homogeneous maps return an empty list.
     """
@@ -231,27 +294,7 @@ def find_singularities(s: StokesMap, threshold: float = 0.1,
     cand[-2:, :] = False
     cand[:, :2] = False
     cand[:, -2:] = False
-    visited = np.zeros_like(cand)
-    xs_axis = g.x_axis()
-    ys_axis = g.y_axis()
-    centroids: List[Tuple[float, float]] = []
-    for iy0, ix0 in zip(*np.nonzero(cand)):
-        if visited[iy0, ix0]:
-            continue
-        stack = [(iy0, ix0)]
-        visited[iy0, ix0] = True
-        sx = sy = 0.0
-        npts = 0
-        while stack:
-            cy, cx = stack.pop()
-            sx += xs_axis[cx]
-            sy += ys_axis[cy]
-            npts += 1
-            for ny, nx in ((cy - 1, cx), (cy + 1, cx), (cy, cx - 1), (cy, cx + 1)):
-                if 0 <= ny < g.ny and 0 <= nx < g.nx and cand[ny, nx] and not visited[ny, nx]:
-                    visited[ny, nx] = True
-                    stack.append((ny, nx))
-        centroids.append((sx / npts, sy / npts))
+    centroids = _component_centroids(cand, g.x_axis(), g.y_axis())
     refined = [_refine_zero(s, x, y) for x, y in _merge_close(centroids, min_separation)]
     s0max = s.s0.max()
     for x, y in sorted(_merge_close(refined, min_separation)):

@@ -50,7 +50,11 @@ def test_unknown_key_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", ["offset.dx=NaN", "waist=-1",
                                       "grid.half_width=Infinity",
-                                      "polarimeter.n_angles=3"])
+                                      "polarimeter.n_angles=3",
+                                      "polarimeter.noise_rms=-1",
+                                      "polarimeter.n_angles=4.5",
+                                      "grid.nx=64.7",
+                                      "polarimeter.seed=1.5"])
 def test_invalid_value_exits_three_before_compute(tmp_path, capsys, override):
     out = tmp_path / "run"
     code = parse_and_dispatch(["herald", "--set", "herald=A", "--set", override,

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from vecherald.kets import (PolKet, PumpSpec, herald, ket_to_field,
                             project_idler_oam0, pump_state, rotate_ket,
                             spdc_state)
 from vecherald.polarimetry import stokes_of_field
-from vecherald.topology import (count_radial_lines, classify,
+from vecherald.topology import (_component_centroids, _merge_close,
+                                count_radial_lines, classify,
                                 disclination_index, find_singularities,
                                 lobe_label, radial_line_count,
                                 rotation_between, s3_lobe_count)
@@ -146,3 +149,147 @@ def test_classify_v_point_label_formatting():
     s = _heralded("VV", 1.5, "D", phi=np.pi / 4)
     (r,) = find_singularities(s)
     assert r.label == "V-point(order 3)"
+
+
+def _flood_fill_centroids(mask, x_axis, y_axis):
+    """Reference labeling: 4-neighbour flood fill seeded in raster order."""
+    ny, nx = mask.shape
+    seen = np.zeros_like(mask)
+    out = []
+    for iy0, ix0 in zip(*np.nonzero(mask)):
+        if seen[iy0, ix0]:
+            continue
+        seen[iy0, ix0] = True
+        stack = [(iy0, ix0)]
+        sx = sy = 0.0
+        n = 0
+        while stack:
+            cy, cx = stack.pop()
+            sx += x_axis[cx]
+            sy += y_axis[cy]
+            n += 1
+            for yy, xx in ((cy - 1, cx), (cy + 1, cx), (cy, cx - 1), (cy, cx + 1)):
+                if 0 <= yy < ny and 0 <= xx < nx and mask[yy, xx] and not seen[yy, xx]:
+                    seen[yy, xx] = True
+                    stack.append((yy, xx))
+        out.append((sx / n, sy / n))
+    return out
+
+
+def _mask(picture):
+    return np.array([[c == "#" for c in row] for row in picture.split()])
+
+
+# name: (mask picture, number of 4-connected components)
+HAND_MASKS = {
+    # arms are separate runs on every row but the last
+    "u_shape": ("""
+        #...#..#
+        #...#..#
+        #...#..#
+        #####..#
+        ........
+        .#.##.#.
+        .####.#.
+    """, 4),
+    # one component whose rows hold many runs joined only through the coil
+    "spiral": ("""
+        #########
+        ........#
+        #######.#
+        #.....#.#
+        #.###.#.#
+        #.#...#.#
+        #.#####.#
+        #.......#
+        #########
+    """, 1),
+    # corner contacts do not connect under 4-connectivity
+    "diagonal": ("""
+        #.#.#
+        .#.#.
+        #.#.#
+        .#...
+    """, 9),
+    "single_pixel": ("""
+        .....
+        ..#..
+        .....
+    """, 1),
+    "empty": ("""
+        ....
+        ....
+    """, 0),
+}
+
+
+def _assert_same_components(mask, x_axis, y_axis):
+    want = _flood_fill_centroids(mask, x_axis, y_axis)
+    got = _component_centroids(mask, x_axis, y_axis)
+    assert len(got) == len(want)
+    np.testing.assert_allclose(np.reshape(got, (-1, 2)), np.reshape(want, (-1, 2)),
+                               rtol=0, atol=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MASKS))
+def test_component_labeling_hand_masks(name):
+    picture, n_components = HAND_MASKS[name]
+    mask = _mask(picture)
+    ny, nx = mask.shape
+    got = _assert_same_components(mask, np.linspace(-2.0, 3.0, nx),
+                                  np.linspace(-1.5, 1.0, ny))
+    assert len(got) == n_components
+
+
+@pytest.mark.parametrize("density", [0.1, 0.35, 0.55, 0.6, 0.8, 0.97])
+def test_component_labeling_matches_flood_fill(density):
+    rng = np.random.default_rng(int(density * 100))
+    for _ in range(20):
+        ny, nx = rng.integers(1, 48, 2)
+        mask = rng.random((ny, nx)) < density
+        _assert_same_components(mask, np.linspace(-4.0, 4.0, nx) + rng.normal(0, 0.01, nx),
+                                np.linspace(-4.0, 4.0, ny) + rng.normal(0, 0.01, ny))
+
+
+def _merge_close_loop(points, min_sep):
+    """Reference merge: the same greedy first match over Python lists."""
+    merged = []
+    for x, y in points:
+        for m in merged:
+            if np.hypot(m[0] / m[2] - x, m[1] / m[2] - y) < min_sep:
+                m[0] += x
+                m[1] += y
+                m[2] += 1
+                break
+        else:
+            merged.append([x, y, 1])
+    return [(m[0] / m[2], m[1] / m[2]) for m in merged]
+
+
+def test_merge_close_matches_loop():
+    rng = np.random.default_rng(7)
+    sets = [rng.uniform(-2.0, 2.0, (n, 2)) for n in (0, 1, 5, 60, 400)]
+    # chains with steps just under the merge radius: each point can reach
+    # several clusters, so the first match in creation order decides
+    for step in (0.25, 0.29, 0.31):
+        t = np.cumsum(rng.uniform(0.5 * step, step, 80))
+        sets.append(np.column_stack([t, 0.1 * np.sin(3.0 * t)]))
+        sets.append(rng.permutation(sets[-1]))
+    sets.append(np.array([[0.0, 0.0], [0.2, 0.0], [-0.2, 0.0], [0.4, 0.0],
+                          [0.1, 0.0], [0.55, 0.0], [0.35, 0.0]]))
+    for pts in sets:
+        points = [(float(x), float(y)) for x, y in pts]
+        assert _merge_close(points, 0.3) == _merge_close_loop(points, 0.3)
+
+
+def test_find_singularities_1024_runtime():
+    b = project_idler_oam0(spdc_state(pump_state(PumpSpec("FP", 0.5, 0.0))))
+    s = stokes_of_field(ket_to_field(herald(b, "A"), make_grid(1024, 1024, 4.0)))
+    best = np.inf
+    for _ in range(2):
+        t0 = time.perf_counter()
+        (r,) = find_singularities(s)
+        best = min(best, time.perf_counter() - t0)
+    assert r.label == "star"
+    assert best < 0.5
