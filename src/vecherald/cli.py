@@ -13,12 +13,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from . import fileio
-from .fields import VectorField
-from .kets import PolKet, project_idler_oam0, spdc_state
-from .polarimetry import EllipseMap, StokesMap, ellipse_map, stokes_of_field
+from .kets import project_idler_oam0, spdc_state
 from .scenarios import (FIGURE_IDS, ScenarioConfig, run_figure_suite,
                         run_scenario)
 from .topology import find_singularities, s3_lobe_count
@@ -40,12 +38,42 @@ overrides: --set key=value with dotted keys, e.g. --set offset.dx=0.1
 """
 
 
-def render_preview(source: Union[VectorField, StokesMap], path: str,
-                   ellipses: Optional[EllipseMap] = None, stride: int = 16) -> None:
-    """Raster preview of a field or Stokes map, deterministic bytes."""
-    smap = stokes_of_field(source) if isinstance(source, VectorField) else source
-    em = ellipses if ellipses is not None else ellipse_map(smap)
-    fileio.write_ppm(path, fileio.render_ellipse_preview(smap, em, stride))
+# Flags of one subcommand: (flag, dotted config key or None, argparse options).
+# A flag with a key is a shorthand for `--set key=value` and uses the key as
+# its dest.
+_PUMP_FLAGS = (
+    ("--kind", "pump.kind", dict(choices=("FP", "VV"), help="pump family")),
+    ("--charge", "pump.charge", dict(type=float, help="plate charge q (half-integer)")),
+    ("--phase", "pump.phase",
+     dict(type=float, help="relative constituent phase, radians")),
+)
+_QPLATE_FLAGS = (
+    ("--charge", "qplate.charge", dict(type=float, help="plate charge q")),
+    ("--retardance", "qplate.retardance",
+     dict(help='"half-wave", "quarter-wave", or radians')),
+    ("--axis-offset", "qplate.axis_offset",
+     dict(type=float, help="axis orientation at x+, radians")),
+    ("--input-pol", "qplate.input_pol", dict(help="seed polarization label (default H)")),
+    ("--input-ell", "qplate.input_ell",
+     dict(type=int, help="seed orbital index (default 0)")),
+)
+
+# (name, help, epilog, flags)
+_SUBCOMMANDS = (
+    ("pump", "synthesize a structured pump and export it", _SCHEMA, _PUMP_FLAGS),
+    ("qplate", "apply a plate to a uniform input ket",
+     "config must carry a qplate object;\n" + _SCHEMA, _QPLATE_FLAGS),
+    ("spdc", "two-crystal pair state for a pump config", _SCHEMA, ()),
+    ("herald", "full heralded-field run (requires herald label)", _SCHEMA, ()),
+    ("polarimetry", "rotating-plate frames and Stokes maps", _SCHEMA, ()),
+    ("topology", "singularity analysis of a run or Stokes export",
+     "either --config (runs the pipeline) or --stokes DIR\n"
+     "(analyzes exported s0..s3.txt)\n" + _SCHEMA,
+     (("--stokes", None, dict(help="directory holding s0.txt..s3.txt")),)),
+    ("scenario", "run one fully specified scenario", _SCHEMA, ()),
+    ("suite", "run a whole figure suite", "figure ids: " + ", ".join(FIGURE_IDS),
+     (("figure", None, dict(choices=FIGURE_IDS)),)),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,8 +83,17 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_SCHEMA,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, help_text, epilog, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for flag, key, options in flags:
+            if key is None:
+                p.add_argument(flag, **options)
+                continue
+            # Name the value after the flag, not after the dotted dest;
+            # a flag with choices lists them instead.
+            metavar = None if "choices" in options else flag[2:].upper().replace("-", "_")
+            p.add_argument(flag, dest=key, metavar=metavar, **options)
         p.add_argument("--config", help="JSON config file (scenario schema)")
         p.add_argument("--out", help="output directory (default: "
                        "$VECHERALD_OUT_ROOT/<label> or runs/<label>)")
@@ -64,57 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="dotted config override")
         p.add_argument("--threads", type=int, default=None,
                        help="cap suite-level parallelism")
-
-    p = sub.add_parser("pump", help="synthesize a structured pump and export it",
-                       epilog=_SCHEMA,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--kind", choices=("FP", "VV"), help="pump family")
-    p.add_argument("--charge", type=float, help="plate charge q (half-integer)")
-    p.add_argument("--phase", type=float, help="relative constituent phase, radians")
-    common(p)
-
-    p = sub.add_parser("qplate", help="apply a plate to a uniform input ket",
-                       epilog="config must carry a qplate object;\n" + _SCHEMA,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--charge", type=float, help="plate charge q")
-    p.add_argument("--retardance", help='"half-wave", "quarter-wave", or radians')
-    p.add_argument("--axis-offset", type=float, help="axis orientation at x+, radians")
-    p.add_argument("--input-pol", help="seed polarization label (default H)")
-    p.add_argument("--input-ell", type=int, help="seed orbital index (default 0)")
-    common(p)
-
-    p = sub.add_parser("spdc", help="two-crystal pair state for a pump config",
-                       epilog=_SCHEMA,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("herald", help="full heralded-field run (requires herald label)",
-                       epilog=_SCHEMA,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("polarimetry", help="rotating-plate frames and Stokes maps",
-                       epilog=_SCHEMA,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("topology", help="singularity analysis of a run or Stokes export",
-                       epilog="either --config (runs the pipeline) or --stokes DIR\n"
-                              "(analyzes exported s0..s3.txt)\n" + _SCHEMA,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--stokes", help="directory holding s0.txt..s3.txt")
-    common(p)
-
-    p = sub.add_parser("scenario", help="run one fully specified scenario",
-                       epilog=_SCHEMA,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("suite", help="run a whole figure suite",
-                       epilog="figure ids: " + ", ".join(FIGURE_IDS),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("figure", choices=FIGURE_IDS)
-    common(p)
     return parser
 
 
@@ -145,35 +131,14 @@ def _load_config_doc(args) -> Dict:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"config root must be a JSON object: {args.config}")
-    if getattr(args, "kind", None) is not None or getattr(args, "charge", None) is not None:
-        if args.command == "pump":
-            pump = doc.setdefault("pump", {}) or {}
-            if args.kind is not None:
-                pump["kind"] = args.kind
-            if args.charge is not None:
-                pump["charge"] = args.charge
-            if args.phase is not None:
-                pump["phase"] = args.phase
-            doc["pump"] = pump
-    if args.command == "qplate":
-        qp = doc.get("qplate") or {}
-        for flag, key in (("charge", "charge"), ("retardance", "retardance"),
-                          ("axis_offset", "axis_offset"), ("input_pol", "input_pol"),
-                          ("input_ell", "input_ell")):
-            val = getattr(args, flag, None)
-            if val is not None:
-                qp[key] = val
-        if qp:
-            if "retardance" in qp and not isinstance(qp["retardance"], str):
-                try:
-                    qp["retardance"] = float(qp["retardance"])
-                except (TypeError, ValueError):
-                    pass
-            doc["qplate"] = qp
-        if "qplate" not in doc:
-            raise ValueError("qplate subcommand needs plate parameters "
-                             "(--charge/--retardance or a config qplate object)")
-    _apply_overrides(doc, args.overrides)
+    # Shorthand flags become the --set pairs they stand for; the explicit
+    # --set pairs come after them, so they win.
+    shorthands = [f"{key}={value}" for key, value in vars(args).items()
+                  if "." in key and value is not None]
+    _apply_overrides(doc, shorthands + args.overrides)
+    if args.command == "qplate" and not doc.get("qplate"):
+        raise ValueError("qplate subcommand needs plate parameters "
+                         "(--charge/--retardance or a config qplate object)")
     return doc
 
 
@@ -197,11 +162,8 @@ def _run_topology_on_export(stokes_dir: str, out_dir: str) -> None:
     fileio.write_singularity_report(os.path.join(out_dir, "singularities.json"),
                                     reports)
     lobes = s3_lobe_count(smap) if smap.grid.half_width > 1.2 else 0
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump({"n_singularities": len(reports), "s3_lobes": lobes},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    fileio.write_json(os.path.join(out_dir, "metrics.json"),
+                      {"n_singularities": len(reports), "s3_lobes": lobes})
     fileio.write_manifest(out_dir, {"stokes_dir": stokes_dir},
                           ["singularities.json", "metrics.json"])
 
@@ -234,16 +196,11 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
             cfg = None
         else:
             doc = _load_config_doc(args)
-            if args.command in ("pump", "qplate", "spdc"):
-                doc.setdefault("herald", "none")
             if args.command == "herald" and doc.get("herald", "none") == "none":
                 raise ValueError("herald subcommand needs a herald label in the config")
             cfg = ScenarioConfig.from_dict(doc)
             out_dir = _resolve_out(args, _default_label(args, doc))
-    except ValueError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 3
 

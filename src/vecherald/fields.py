@@ -3,7 +3,9 @@
 All lengths are quoted in units of the beam waist by convention: the default
 grid spans 4 waists half-width at 256 x 256 samples.  Even sample counts put
 the beam axis between pixels, so nothing is ever evaluated exactly on the
-vortex axis.
+vortex axis.  An odd count puts one sample on the axis and is accepted: the
+mode kernels stay finite there, and the singularity search finds the same
+central singularity as on the neighbouring even grid.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 16 or self.ny < 16:
             raise ValueError(f"grid must be at least 16x16, got {self.nx}x{self.ny}")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(
+                f"half_width must be finite and positive, got {self.half_width}")
 
     @property
     def pitch_x(self) -> float:

@@ -64,6 +64,13 @@ def read_complex_matrix(path_stem: str) -> Tuple[np.ndarray, GridSpec]:
     return re + 1j * im, grid
 
 
+def write_json(path: str, doc) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def ket_as_dict(k: PolKet) -> Dict:
     terms = [{"pol": pol, "ell": int(ell), "re": float(a.real), "im": float(a.imag)}
              for (pol, ell), a in sorted(k.terms.items())]
@@ -71,9 +78,7 @@ def ket_as_dict(k: PolKet) -> Dict:
 
 
 def write_ket(path: str, k: PolKet) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(ket_as_dict(k), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, ket_as_dict(k))
 
 
 def read_ket(path: str) -> PolKet:
@@ -93,9 +98,7 @@ def biphoton_as_dict(b: BiphotonKet) -> Dict:
 
 
 def write_biphoton(path: str, b: BiphotonKet) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(biphoton_as_dict(b), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, biphoton_as_dict(b))
 
 
 def read_biphoton(path: str) -> BiphotonKet:
@@ -119,11 +122,8 @@ def write_frames(dir_path: str, frames: np.ndarray, angles: Sequence[float],
         name = f"{prefix}_{i:03d}.txt"
         write_matrix(os.path.join(dir_path, name), frames[i], grid)
         names.append(name)
-    doc = {"angles": [float(a) for a in angles], "files": names}
-    with open(os.path.join(dir_path, "frames.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(dir_path, "frames.json"),
+               {"angles": [float(a) for a in angles], "files": names})
     return names + ["frames.json"]
 
 
@@ -250,9 +250,7 @@ def write_manifest(dir_path: str, config: Dict, file_names: Iterable[str],
     if extra:
         doc.update(extra)
     path = os.path.join(dir_path, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
     return path
 
 
@@ -266,6 +264,4 @@ def write_singularity_report(path: str, reports) -> None:
             "label": r.label, "loop_radius": float(r.loop_radius),
             "radial_lines": None if r.radial_lines is None else int(r.radial_lines),
         })
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"singularities": rows}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {"singularities": rows})

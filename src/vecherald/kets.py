@@ -212,6 +212,8 @@ class PumpSpec:
         two_q = 2.0 * self.charge
         if abs(two_q - round(two_q)) > 1e-12 or round(two_q) < 1:
             raise ValueError("charge must be a positive half-integer or integer")
+        if not np.isfinite(self.rel_phase):
+            raise ValueError(f"rel_phase must be finite, got {self.rel_phase}")
 
     def ell_pair(self) -> Tuple[int, int]:
         """(ell on the L constituent, ell on the R constituent)."""
@@ -242,6 +244,8 @@ class SpdcConfig:
     crystal_phase: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.crystal_phase):
+            raise ValueError(f"crystal_phase must be finite, got {self.crystal_phase}")
         if self.spectrum is None:
             self.spectrum = {0: 1.0 + 0j}
         if not self.spectrum:
@@ -448,12 +452,16 @@ def fringe_visibility(angles: np.ndarray, values: np.ndarray) -> float:
     return float(np.hypot(a1, b1) / a0)
 
 
-def visibility_in_basis(b: BiphotonKet, basis: str, n_angles: int = 36) -> float:
-    """Mean fitted fringe visibility over the two idler projections of a basis."""
+def visibility_in_basis(b: BiphotonKet, basis: str) -> float:
+    """Mean fringe visibility over the two idler projections of a basis.
+
+    The coincidence fringe is exactly a0 + a1 cos 2t + b1 sin 2t, so its
+    samples at t = 0, pi/4 and pi/2 determine the fit exactly.
+    """
     pair = {"HV": ("H", "V"), "DA": ("D", "A")}.get(basis)
     if pair is None:
         raise ValueError("basis must be HV or DA")
-    th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
+    th = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi])
     vis = []
     for idler in pair:
         fr = np.array([coincidence_probability(b, t, idler) for t in th])

@@ -51,8 +51,9 @@ class PolarimeterConfig:
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         if len(self.angles) < 4:
             raise ValueError("need at least 4 analyzer angles")
-        if self.noise_rms < 0:
-            raise ValueError("noise_rms must be nonnegative")
+        if not (np.isfinite(self.noise_rms) and self.noise_rms >= 0):
+            raise ValueError(
+                f"noise_rms must be finite and nonnegative, got {self.noise_rms}")
 
 
 @dataclass

@@ -34,6 +34,8 @@ class QPlateParams:
             raise ValueError("charge must be a half-integer multiple (0 allowed)")
         if not 0.0 <= self.retardance < 2.0 * np.pi:
             raise ValueError("retardance must lie in [0, 2 pi)")
+        if not np.isfinite(self.axis_offset):
+            raise ValueError(f"axis_offset must be finite, got {self.axis_offset}")
 
 
 def plate_from_preset(charge: float, retardance, axis_offset: float = 0.0) -> QPlateParams:

@@ -25,8 +25,8 @@ from .kets import (PolKet, PumpSpec, SpdcConfig, basis_change,
                    ket_to_field, project_idler_oam0, pump_state, spdc_state,
                    visibility_in_basis)
 from .polarimetry import (EllipseMap, PolarimeterConfig, StokesMap,
-                          ellipse_map, reconstruct_stokes, simulate_frames,
-                          stokes_homogeneity, stokes_of_field)
+                          ellipse_map, reconstruct_stokes, response_matrix,
+                          simulate_frames, stokes_homogeneity, stokes_of_field)
 from .qplate import plate_from_preset, qplate_apply_ket
 from .topology import (SingularityReport, find_singularities,
                        rotation_between, s3_lobe_count)
@@ -85,25 +85,25 @@ class ScenarioConfig:
             raise ValueError(f"herald must be one of {HERALD_LABELS}, got {self.herald!r}")
         if self.envelope not in ("lg", "gaussian"):
             raise ValueError(f"envelope must be 'lg' or 'gaussian', got {self.envelope!r}")
-        for name in ("offset_dx", "offset_dy", "half_width", "waist", "noise_rms"):
+        for name in ("offset_dx", "offset_dy", "waist"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.waist > 0:
             raise ValueError(f"waist must be positive, got {self.waist}")
-        if self.noise_rms < 0:
-            raise ValueError(f"noise_rms must be nonnegative, got {self.noise_rms}")
         if np.hypot(self.offset_dx, self.offset_dy) >= 0.5:
             raise ValueError("offset magnitude must stay under half a waist")
         if self.offset_applies_to not in ("signal", "pump"):
             raise ValueError("offset applies_to must be 'signal' or 'pump'")
-        if self.qplate is None:
-            PumpSpec(self.pump_kind, self.pump_charge, 0.0)
-        else:
+        if self.qplate is not None:
             _check_keys(self.qplate, _QPLATE_KEYS, "qplate")
         if self.angles is not None:
             self.angles = tuple(float(a) for a in self.angles)
-            if len(self.angles) < 4:
-                raise ValueError("need at least 4 analyzer angles")
+        # Build what a run builds: each object rejects its own bad values here,
+        # before any compute starts.
+        self.grid()
+        response_matrix(self.polarimeter_config())
+        self.spdc_config()
+        _pump_ket(self)
 
     def resolved_phase(self) -> float:
         if self.pump_phase is not None:
@@ -221,7 +221,7 @@ def _pump_ket(cfg: ScenarioConfig) -> PolKet:
                               qp.get("retardance", "half-wave"),
                               float(qp.get("axis_offset", 0.0)))
     seed_pol = str(qp.get("input_pol", "H"))
-    seed_ell = int(qp.get("input_ell", 0))
+    seed_ell = _integer(qp.get("input_ell", 0), "qplate.input_ell")
     return qplate_apply_ket(PolKet.from_terms([(seed_pol, seed_ell, 1.0)]), plate)
 
 
@@ -312,10 +312,7 @@ def _write_scenario(res: ScenarioResult, out_dir: str) -> None:
     files: List[str] = []
 
     cfg_doc = res.config.to_dict()
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(cfg_doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    fileio.write_json(os.path.join(out_dir, "config.json"), cfg_doc)
     files.append("config.json")
 
     fileio.write_ket(os.path.join(out_dir, "pump_ket.json"), res.pump_ket)
@@ -349,10 +346,7 @@ def _write_scenario(res: ScenarioResult, out_dir: str) -> None:
                "rotation": res.rotation,
                "s3_lobes": res.s3_lobes,
                "n_singularities": len(res.singularities)}
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(metrics, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    fileio.write_json(os.path.join(out_dir, "metrics.json"), metrics)
     files.append("metrics.json")
 
     fileio.write_manifest(out_dir, cfg_doc, files)

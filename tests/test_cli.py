@@ -54,7 +54,20 @@ def test_unknown_key_exits_three(tmp_path, capsys):
                                       "polarimeter.noise_rms=-1",
                                       "polarimeter.n_angles=4.5",
                                       "grid.nx=64.7",
-                                      "polarimeter.seed=1.5"])
+                                      "polarimeter.seed=1.5",
+                                      "polarimeter.noise_rms=NaN",
+                                      "qplate.charge=0.3",
+                                      'qplate.retardance="foo"',
+                                      'qplate.input_pol="X"',
+                                      "qplate.axis_offset=NaN",
+                                      "qplate.input_ell=0.5",
+                                      "polarimeter.angles=[0,0,0,0]",
+                                      "grid.nx=15",
+                                      'spdc.spectrum={"0":[0,0]}',
+                                      "spdc.crystal_phase=NaN",
+                                      "pump.phase=NaN",
+                                      "pump.charge=Infinity",
+                                      "pump.charge=null"])
 def test_invalid_value_exits_three_before_compute(tmp_path, capsys, override):
     out = tmp_path / "run"
     code = parse_and_dispatch(["herald", "--set", "herald=A", "--set", override,
@@ -62,6 +75,49 @@ def test_invalid_value_exits_three_before_compute(tmp_path, capsys, override):
     assert code == 3
     assert "error: config" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _tree_names(root):
+    names = []
+    for base, _, files in os.walk(root):
+        rel = os.path.relpath(base, root)
+        names.extend(os.path.join(rel, f) for f in files)
+    return names
+
+
+def _assert_same_trees(a, b):
+    names = _tree_names(a)
+    assert len(names) > 10
+    assert sorted(_tree_names(b)) == sorted(names)
+    same, diff, funny = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert diff == [] and funny == []
+    assert sorted(same) == sorted(names)
+
+
+@pytest.mark.parametrize("flags, overrides", [
+    (["pump", "--phase", "0.3"], ["pump", "--set", "pump.phase=0.3"]),
+    (["qplate", "--charge", "0.5", "--retardance", "1.0"],
+     ["qplate", "--set", "qplate.charge=0.5", "--set", "qplate.retardance=1.0"]),
+])
+def test_flags_are_set_aliases(tmp_path, capsys, flags, overrides):
+    dirs = [str(tmp_path / "flags"), str(tmp_path / "set")]
+    for args, d in zip((flags, overrides), dirs):
+        assert main(args + SMALL + ["--out", d]) == 0
+    _assert_same_trees(*dirs)
+    capsys.readouterr()
+
+
+def test_set_wins_over_flag(tmp_path, capsys):
+    out = tmp_path / "q"
+    assert main(["qplate", "--charge", "0.5", "--set", "qplate.charge=1.0",
+                 "--out", str(out)] + SMALL) == 0
+    assert json.loads((out / "config.json").read_text())["qplate"]["charge"] == 1.0
+    capsys.readouterr()
+
+
+def test_bad_flag_choice_exits_two(capsys):
+    assert parse_and_dispatch(["pump", "--kind", "XX"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_herald_requires_label(tmp_path, capsys):
@@ -74,6 +130,13 @@ def test_herald_requires_label(tmp_path, capsys):
 def test_qplate_requires_parameters(capsys):
     assert parse_and_dispatch(["qplate"]) == 3
     assert "plate parameters" in capsys.readouterr().err
+
+
+def test_qplate_parameters_from_set(tmp_path, capsys):
+    out = tmp_path / "q"
+    assert main(["qplate", "--set", "qplate.charge=0.5", "--out", str(out)] + SMALL) == 0
+    assert (out / "manifest.json").exists()
+    capsys.readouterr()
 
 
 def test_empty_herald_exits_four(tmp_path, capsys):
@@ -130,12 +193,5 @@ def test_repeat_runs_byte_identical(tmp_path, capsys):
     dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
     for d in dirs:
         assert main(args + ["--out", d]) == 0
-    names = []
-    for base, _, files in os.walk(dirs[0]):
-        rel = os.path.relpath(base, dirs[0])
-        names.extend(os.path.join(rel, f) for f in files)
-    assert len(names) > 10
-    same, diff, funny = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
-    assert diff == [] and funny == []
-    assert sorted(same) == sorted(names)
+    _assert_same_trees(*dirs)
     capsys.readouterr()

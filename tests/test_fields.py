@@ -21,6 +21,8 @@ def test_grid_validation():
         GridSpec(8, 64, 4.0)
     with pytest.raises(ValueError):
         GridSpec(64, 64, 0.0)
+    with pytest.raises(ValueError):
+        GridSpec(64, 64, np.inf)
 
 
 @pytest.mark.parametrize("ell", [-3, -1, 0, 2])

@@ -47,6 +47,10 @@ def test_pump_spec_validation():
         PumpSpec("XX", 0.5, 0.0)
     with pytest.raises(ValueError):
         PumpSpec("FP", 0.3, 0.0)
+    with pytest.raises(ValueError):
+        PumpSpec("FP", 0.5, np.nan)
+    with pytest.raises(ValueError):
+        SpdcConfig(crystal_phase=np.nan)
 
 
 def test_spdc_oam_conservation():

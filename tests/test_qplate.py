@@ -15,6 +15,8 @@ def test_params_validation():
         QPlateParams(0.5, -0.1)
     with pytest.raises(ValueError):
         QPlateParams(0.5, 2 * np.pi)
+    with pytest.raises(ValueError):
+        QPlateParams(0.5, np.pi, np.nan)
     QPlateParams(0.0, np.pi)  # degenerate uniform waveplate is allowed
 
 

@@ -176,3 +176,17 @@ def test_figure_suite_writes_artifacts(tmp_path):
 def test_figure_suite_unknown_id(tmp_path):
     with pytest.raises(ValueError, match="figure"):
         run_figure_suite("fig9", str(tmp_path))
+
+
+@pytest.mark.parametrize("kind, charge, label", [("FP", 0.5, "A"), ("VV", 1.0, "none"),
+                                                 ("FP", 1.5, "D")])
+def test_odd_grid_keeps_central_singularity(kind, charge, label):
+    # An odd grid samples the beam axis itself; the central singularity must
+    # read the same as on the neighbouring even grid.
+    central = []
+    for n in (63, 64):
+        res = run_scenario(ScenarioConfig(pump_kind=kind, pump_charge=charge,
+                                          herald=label, nx=n, ny=n))
+        s = min(res.singularities, key=lambda s: np.hypot(*s.location))
+        central.append((s.kind, s.index, s.label, s.radial_lines))
+    assert central[0] == central[1]
