@@ -17,9 +17,30 @@ import numpy as np
 
 from . import kernels
 
-BASES = ("HV", "DA", "LR")
-
 _SQ2 = np.sqrt(2.0)
+
+# The polarization conventions, stated once: D=(H+V)/s2, A=(H-V)/s2,
+# L=(H+iV)/s2, R=(H-iV)/s2.  Each basis names its two labels in component
+# order.  TO_HV[b] = (m11, m12, m21, m22) maps the components (c1, c2) of
+# basis b to (H, V), so its columns are the labels' (H, V) components;
+# FROM_HV[b] is its inverse.  Amplitudes and sampled fields transform alike.
+BASIS_PAIR = {"HV": ("H", "V"), "DA": ("D", "A"), "LR": ("L", "R")}
+BASES = tuple(BASIS_PAIR)
+TO_HV = {
+    "HV": (1, 0, 0, 1),
+    "DA": (1 / _SQ2, 1 / _SQ2, 1 / _SQ2, -1 / _SQ2),
+    "LR": (1 / _SQ2, 1 / _SQ2, 1j / _SQ2, -1j / _SQ2),
+}
+FROM_HV = {
+    "HV": (1, 0, 0, 1),
+    "DA": (1 / _SQ2, 1 / _SQ2, 1 / _SQ2, -1 / _SQ2),
+    "LR": (1 / _SQ2, -1j / _SQ2, 1 / _SQ2, 1j / _SQ2),
+}
+
+
+def apply_table(m, c1, c2):
+    """(m11 c1 + m12 c2, m21 c1 + m22 c2) for two amplitudes or two arrays."""
+    return m[0] * c1 + m[1] * c2, m[2] * c1 + m[3] * c2
 
 
 @dataclass(frozen=True)
@@ -224,52 +245,27 @@ def vector_power(vf: VectorField) -> float:
     return power(vf.comp1) + power(vf.comp2)
 
 
-def _combine(f1: ScalarField, f2: ScalarField, m11, m12, m21, m22) -> tuple:
-    """Pointwise 2x2 linear map of two scalar fields."""
-    s1 = m11 * f1.samples + m12 * f2.samples
-    s2 = m21 * f1.samples + m22 * f2.samples
-    return ScalarField(f1.grid, s1), ScalarField(f1.grid, s2)
-
-
-# Rows are the target-basis components expressed in the source components.
-# Declared conventions: D=(H+V)/s2, A=(H-V)/s2, L=(H+iV)/s2, R=(H-iV)/s2.
-_TO_HV = {
-    "HV": (1, 0, 0, 1),
-    "DA": (1 / _SQ2, 1 / _SQ2, 1 / _SQ2, -1 / _SQ2),
-    "LR": (1 / _SQ2, 1 / _SQ2, 1j / _SQ2, -1j / _SQ2),
-}
-_FROM_HV = {
-    "HV": (1, 0, 0, 1),
-    "DA": (1 / _SQ2, 1 / _SQ2, 1 / _SQ2, -1 / _SQ2),
-    "LR": (1 / _SQ2, -1j / _SQ2, 1 / _SQ2, 1j / _SQ2),
-}
-
-
 def convert_basis(vf: VectorField, target: str) -> VectorField:
     if target not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {target!r}")
     if target == vf.basis:
         return vf
-    m = _TO_HV[vf.basis]
-    h, v = _combine(vf.comp1, vf.comp2, m[0], m[1], m[2], m[3])
-    if target == "HV":
-        return VectorField(grid=vf.grid, comp1=h, comp2=v, basis="HV")
-    m = _FROM_HV[target]
-    c1, c2 = _combine(h, v, m[0], m[1], m[2], m[3])
-    return VectorField(grid=vf.grid, comp1=c1, comp2=c2, basis=target)
+    comps = hv_arrays(vf)
+    if target != "HV":
+        comps = apply_table(FROM_HV[target], *comps)
+    return VectorField(grid=vf.grid, comp1=ScalarField(vf.grid, comps[0]),
+                       comp2=ScalarField(vf.grid, comps[1]), basis=target)
 
 
 def hv_arrays(vf: VectorField):
     """The (E_H, E_V) sample arrays regardless of the stored basis."""
     if vf.basis == "HV":
         return vf.comp1.samples, vf.comp2.samples
-    m = _TO_HV[vf.basis]
-    return (m[0] * vf.comp1.samples + m[1] * vf.comp2.samples,
-            m[2] * vf.comp1.samples + m[3] * vf.comp2.samples)
+    return apply_table(TO_HV[vf.basis], vf.comp1.samples, vf.comp2.samples)
 
 
-_LABEL_SLOT = {"H": ("HV", 0), "V": ("HV", 1), "D": ("DA", 0),
-               "A": ("DA", 1), "L": ("LR", 0), "R": ("LR", 1)}
+_LABEL_SLOT = {pol: (basis, slot) for basis, pair in BASIS_PAIR.items()
+               for slot, pol in enumerate(pair)}
 
 
 def zero_scalar(grid: GridSpec) -> ScalarField:

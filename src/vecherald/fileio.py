@@ -32,8 +32,7 @@ def write_matrix(path: str, values: np.ndarray, grid: GridSpec) -> None:
         raise ValueError("array shape does not match the grid")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{grid.nx} {grid.ny} {_fmt(grid.half_width)}\n")
-        for row in a:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, a, fmt="%.17g")
 
 
 def read_matrix(path: str) -> Tuple[np.ndarray, GridSpec]:

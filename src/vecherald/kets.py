@@ -2,16 +2,11 @@
 
 Single-photon states are superpositions of |pol, ell> with pol a polarization
 label and ell the azimuthal (orbital angular momentum) index.  A ket carries a
-basis tag; its stored labels are the two labels of that basis.  The declared
-conventions are
-
-    D = (H + V)/sqrt2,  A = (H - V)/sqrt2,
-    L = (H + iV)/sqrt2, R = (H - iV)/sqrt2,
-
-so amplitudes transform with aD=(aH+aV)/sqrt2, aA=(aH-aV)/sqrt2,
-aL=(aH-i aV)/sqrt2, aR=(aH+i aV)/sqrt2.  Two-photon states from the crystal
-pair are stored in {H, V} only, one (pol, ell) pair per photon for signal and
-idler.
+basis tag; its stored labels are the two labels of that basis.  The label
+conventions (D = (H + V)/sqrt2, L = (H + iV)/sqrt2, ...) and the amplitude
+tables between bases are stated once, in fields.  Two-photon states from the
+crystal pair are stored in {H, V} only, one (pol, ell) pair per photon for
+signal and idler.
 """
 
 from __future__ import annotations
@@ -21,36 +16,17 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .fields import (GridSpec, ScalarField, VectorField, gaussian_helical_mode,
-                     lg_mode, zero_scalar)
-
-POL_LABELS = ("H", "V", "D", "A", "L", "R")
-BASIS_PAIR = {"HV": ("H", "V"), "DA": ("D", "A"), "LR": ("L", "R")}
+from .fields import (BASES, BASIS_PAIR, FROM_HV, TO_HV, GridSpec, ScalarField,
+                     VectorField, apply_table, gaussian_helical_mode, lg_mode,
+                     zero_scalar)
 
 _SQ2 = np.sqrt(2.0)
 
-# (H, V) components of each labeled polarization state.
-_COMPONENTS = {
-    "H": (1.0 + 0j, 0.0 + 0j),
-    "V": (0.0 + 0j, 1.0 + 0j),
-    "D": (1 / _SQ2 + 0j, 1 / _SQ2 + 0j),
-    "A": (1 / _SQ2 + 0j, -1 / _SQ2 + 0j),
-    "L": (1 / _SQ2 + 0j, 1j / _SQ2),
-    "R": (1 / _SQ2 + 0j, -1j / _SQ2),
-}
-
-# Amplitude transforms between a basis pair and (H, V): (m11, m12, m21, m22)
-# giving (a1, a2) of the tagged basis from (aH, aV), and back.
-_AMP_FROM_HV = {
-    "HV": (1, 0, 0, 1),
-    "DA": (1 / _SQ2, 1 / _SQ2, 1 / _SQ2, -1 / _SQ2),
-    "LR": (1 / _SQ2, -1j / _SQ2, 1 / _SQ2, 1j / _SQ2),
-}
-_AMP_TO_HV = {
-    "HV": (1, 0, 0, 1),
-    "DA": (1 / _SQ2, 1 / _SQ2, 1 / _SQ2, -1 / _SQ2),
-    "LR": (1 / _SQ2, 1 / _SQ2, 1j / _SQ2, -1j / _SQ2),
-}
+# (H, V) components of each labeled polarization state: the columns of its
+# basis' TO_HV table.  complex() keeps the table's signed zeros.
+_COMPONENTS = {pol: (complex(TO_HV[basis][slot]), complex(TO_HV[basis][2 + slot]))
+               for basis, pair in BASIS_PAIR.items() for slot, pol in enumerate(pair)}
+POL_LABELS = tuple(_COMPONENTS)
 
 TermKey = Tuple[str, int]
 
@@ -61,24 +37,17 @@ def _clean(terms: Dict, tol: float = 0.0) -> Dict:
 
 def _hv_pairs(terms: Dict[TermKey, complex], basis: str) -> Dict[int, Tuple[complex, complex]]:
     """Per-ell (aH, aV) amplitude pairs of a tagged term dict."""
-    m = _AMP_TO_HV[basis]
     p1, p2 = BASIS_PAIR[basis]
-    out = {}
-    for ell in sorted({e for (_, e) in terms}):
-        a1 = terms.get((p1, ell), 0j)
-        a2 = terms.get((p2, ell), 0j)
-        out[ell] = (m[0] * a1 + m[1] * a2, m[2] * a1 + m[3] * a2)
-    return out
+    return {ell: apply_table(TO_HV[basis], terms.get((p1, ell), 0j),
+                             terms.get((p2, ell), 0j))
+            for ell in sorted({e for (_, e) in terms})}
 
 
 def _terms_from_hv(pairs: Dict[int, Tuple[complex, complex]], basis: str) -> Dict[TermKey, complex]:
-    m = _AMP_FROM_HV[basis]
     p1, p2 = BASIS_PAIR[basis]
     out: Dict[TermKey, complex] = {}
     for ell in sorted(pairs):
-        ah, av = pairs[ell]
-        a1 = m[0] * ah + m[1] * av
-        a2 = m[2] * ah + m[3] * av
+        a1, a2 = apply_table(FROM_HV[basis], *pairs[ell])
         if abs(a1) > 1e-15:
             out[(p1, ell)] = a1
         if abs(a2) > 1e-15:
@@ -95,7 +64,7 @@ class PolKet:
 
     def __post_init__(self):
         if self.basis not in BASIS_PAIR:
-            raise ValueError(f"basis must be one of {tuple(BASIS_PAIR)}, got {self.basis!r}")
+            raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
         pair = BASIS_PAIR[self.basis]
         fixed = {}
         for (pol, ell), amp in self.terms.items():
@@ -112,8 +81,7 @@ class PolKet:
         for pol, ell, amp in entries:
             if pol not in POL_LABELS:
                 raise ValueError(f"unknown polarization label {pol!r}")
-            ch, cv = _COMPONENTS[pol]
-            for lbl, c in (("H", ch), ("V", cv)):
+            for lbl, c in zip(BASIS_PAIR["HV"], _COMPONENTS[pol]):
                 if c != 0:
                     key = (lbl, int(ell))
                     acc[key] = acc.get(key, 0j) + complex(amp) * c
@@ -144,7 +112,7 @@ class PolKet:
 def basis_change(k: PolKet, target: str) -> PolKet:
     """The same state re-expressed on another basis; norm preserved exactly."""
     if target not in BASIS_PAIR:
-        raise ValueError(f"basis must be one of {tuple(BASIS_PAIR)}, got {target!r}")
+        raise ValueError(f"basis must be one of {BASES}, got {target!r}")
     if target == k.basis:
         return PolKet(terms=dict(k.terms), basis=k.basis)
     return PolKet(terms=_terms_from_hv(_hv_pairs(k.terms, k.basis), target), basis=target)
@@ -162,7 +130,7 @@ class BiphotonKet:
     def __post_init__(self):
         fixed = {}
         for ((ps, ls), (pi, li)), amp in self.terms.items():
-            if ps not in ("H", "V") or pi not in ("H", "V"):
+            if ps not in BASIS_PAIR["HV"] or pi not in BASIS_PAIR["HV"]:
                 raise ValueError("pair states are stored with H/V labels only")
             fixed[((ps, int(ls)), (pi, int(li)))] = complex(amp)
         self.terms = fixed
@@ -346,28 +314,34 @@ def rotate_ket(k: PolKet, angle: float) -> PolKet:
 # ------------------------------------------------------------ field synthesis
 
 def ket_to_field(k: PolKet, grid: GridSpec, waist: float = 1.0,
-                 envelope: str = "lg") -> VectorField:
+                 envelope: str = "lg",
+                 centers: Optional[Dict[TermKey, Tuple[float, float]]] = None
+                 ) -> VectorField:
     """Synthesize the transverse field of a single-photon ket.
 
     Each (pol, ell, amp) term contributes amp times a unit-power mode to the
     component of its label, on the ket's own basis.  envelope "lg" gives each
     term the Laguerre-Gauss profile of its ell; envelope "gaussian" gives
     every term the fundamental Gaussian envelope with a pure helical phase,
-    a family closed under pointwise azimuthal-phase operations.  Output power
-    equals the squared ket norm up to grid-quadrature error; nothing is
-    renormalized, so synthesis stays exactly linear in the ket.
+    a family closed under pointwise azimuthal-phase operations.  centers maps
+    a (pol, ell) term to the transverse shift (dx, dy) of its mode; every
+    other term stays centred.  Output power equals the squared ket norm up to
+    grid-quadrature error; nothing is renormalized, so synthesis stays
+    exactly linear in the ket.
     """
     if envelope == "lg":
-        make = lambda ell: lg_mode(grid, ell, waist)
+        make = lg_mode
     elif envelope == "gaussian":
-        make = lambda ell: gaussian_helical_mode(grid, ell, waist)
+        make = gaussian_helical_mode
     else:
         raise ValueError(f"envelope must be 'lg' or 'gaussian', got {envelope!r}")
+    centers = centers or {}
     comps = []
     for pol in BASIS_PAIR[k.basis]:
         entries = sorted((ell, amp) for (p, ell), amp in k.terms.items() if p == pol)
         if entries:
-            modes = [make(ell) for ell, _ in entries]
+            modes = [make(grid, ell, waist, center=centers.get((pol, ell), (0.0, 0.0)))
+                     for ell, _ in entries]
             total = np.zeros((grid.ny, grid.nx), np.complex128)
             for f, (_, amp) in zip(modes, entries):
                 total += amp * f.samples
@@ -458,12 +432,11 @@ def visibility_in_basis(b: BiphotonKet, basis: str) -> float:
     The coincidence fringe is exactly a0 + a1 cos 2t + b1 sin 2t, so its
     samples at t = 0, pi/4 and pi/2 determine the fit exactly.
     """
-    pair = {"HV": ("H", "V"), "DA": ("D", "A")}.get(basis)
-    if pair is None:
+    if basis not in ("HV", "DA"):
         raise ValueError("basis must be HV or DA")
     th = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi])
     vis = []
-    for idler in pair:
+    for idler in BASIS_PAIR[basis]:
         fr = np.array([coincidence_probability(b, t, idler) for t in th])
         vis.append(fringe_visibility(th, fr))
     return float(np.mean(vis))

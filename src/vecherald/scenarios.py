@@ -17,21 +17,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fileio
-from .fields import (GridSpec, ScalarField, VectorField, gaussian_helical_mode,
-                     lg_mode, make_grid, zero_scalar)
-from .fields import translate  # noqa: F401 - unused here; perfbench/tracing.py wraps it
-from .kets import (PolKet, PumpSpec, SpdcConfig, basis_change,
+from .fields import BASIS_PAIR, GridSpec, VectorField, make_grid
+# Unused here; perfbench/tracing.py wraps these names in this module.
+from .fields import gaussian_helical_mode, lg_mode, translate  # noqa: F401
+from .kets import (POL_LABELS, PolKet, PumpSpec, SpdcConfig, basis_change,
                    coincidence_probability, degraded_bell_state, herald,
                    ket_to_field, project_idler_oam0, pump_state, spdc_state,
                    visibility_in_basis)
 from .polarimetry import (EllipseMap, PolarimeterConfig, StokesMap,
                           ellipse_map, reconstruct_stokes, response_matrix,
-                          simulate_frames, stokes_homogeneity, stokes_of_field)
+                          default_angles, simulate_frames, stokes_homogeneity,
+                          stokes_of_field)
 from .qplate import plate_from_preset, qplate_apply_ket
 from .topology import (SingularityReport, find_singularities,
                        rotation_between, s3_lobe_count)
 
-HERALD_LABELS = ("none", "H", "V", "D", "A", "L", "R")
+HERALD_LABELS = ("none",) + POL_LABELS
 
 # Relative pump phase applied when a config leaves it unset, keyed by 2q.
 DEFAULT_PUMP_PHASE = {1: 0.0, 2: np.pi, 3: 0.25 * np.pi}
@@ -43,10 +44,25 @@ _TOP_KEYS = {"label", "pump", "qplate", "herald", "grid", "waist", "envelope",
 _QPLATE_KEYS = {"charge", "retardance", "axis_offset", "input_pol", "input_ell"}
 
 
-def _check_keys(doc: Dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
+def _section(value, allowed: Optional[set], where: str) -> Dict:
+    """A nested config object ({} when null); allowed=None accepts any key."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} config must be an object, got {value!r}")
+    unknown = set(value) - allowed if allowed is not None else set()
     if unknown:
         raise ValueError(f"unknown {where} config keys: {sorted(unknown)}")
+    return value
+
+
+def _amplitude(value) -> complex:
+    """A spectrum amplitude: a number or an [re, im] pair."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ValueError(f"spectrum amplitude must be [re, im], got {value!r}")
+        return complex(value[0], value[1])
+    return complex(value)
 
 
 def _integer(value, name: str) -> int:
@@ -95,7 +111,7 @@ class ScenarioConfig:
         if self.offset_applies_to not in ("signal", "pump"):
             raise ValueError("offset applies_to must be 'signal' or 'pump'")
         if self.qplate is not None:
-            _check_keys(self.qplate, _QPLATE_KEYS, "qplate")
+            _section(self.qplate, _QPLATE_KEYS, "qplate")
         if self.angles is not None:
             self.angles = tuple(float(a) for a in self.angles)
         # Build what a run builds: each object rejects its own bad values here,
@@ -125,29 +141,20 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "ScenarioConfig":
-        _check_keys(doc, _TOP_KEYS, "scenario")
-        pump = doc.get("pump") or {}
-        _check_keys(pump, {"kind", "charge", "phase"}, "pump")
-        grid = doc.get("grid") or {}
-        _check_keys(grid, {"nx", "ny", "half_width"}, "grid")
-        pol = doc.get("polarimeter") or {}
-        _check_keys(pol, {"angles", "n_angles", "noise_rms", "seed"}, "polarimeter")
-        spdc = doc.get("spdc") or {}
-        _check_keys(spdc, {"crystal_phase", "spectrum"}, "spdc")
-        off = doc.get("offset") or {}
-        _check_keys(off, {"dx", "dy", "applies_to"}, "offset")
+        _section(doc, _TOP_KEYS, "scenario")
+        pump = _section(doc.get("pump"), {"kind", "charge", "phase"}, "pump")
+        grid = _section(doc.get("grid"), {"nx", "ny", "half_width"}, "grid")
+        pol = _section(doc.get("polarimeter"), {"angles", "n_angles", "noise_rms", "seed"},
+                       "polarimeter")
+        spdc = _section(doc.get("spdc"), {"crystal_phase", "spectrum"}, "spdc")
+        off = _section(doc.get("offset"), {"dx", "dy", "applies_to"}, "offset")
         angles = pol.get("angles")
         if angles is None and "n_angles" in pol:
-            n = _integer(pol["n_angles"], "polarimeter.n_angles")
-            angles = [k * np.pi / n for k in range(n)]
+            angles = default_angles(_integer(pol["n_angles"], "polarimeter.n_angles"))
         spectrum = None
         if spdc.get("spectrum"):
-            spectrum = {}
-            for ell, amp in spdc["spectrum"].items():
-                if isinstance(amp, (list, tuple)):
-                    spectrum[int(ell)] = complex(amp[0], amp[1])
-                else:
-                    spectrum[int(ell)] = complex(amp)
+            raw = _section(spdc["spectrum"], None, "spdc.spectrum")
+            spectrum = {int(ell): _amplitude(amp) for ell, amp in raw.items()}
         return cls(
             label=str(doc.get("label", "scenario")),
             pump_kind=str(pump.get("kind", "FP")),
@@ -177,7 +184,7 @@ class ScenarioConfig:
                         for ell, c in sorted(self.spectrum.items())}
         return {
             "label": self.label,
-            "pump": None if self.qplate else {
+            "pump": None if self.qplate is not None else {
                 "kind": self.pump_kind, "charge": self.pump_charge,
                 "phase": self.pump_phase},
             "qplate": self.qplate,
@@ -240,17 +247,8 @@ def _synthesize(k: PolKet, grid: GridSpec, waist: float, envelope: str,
     if dx == 0.0 and dy == 0.0:
         return ket_to_field(k, grid, waist, envelope=envelope)
     kl = basis_change(k, "LR")
-    target = _offset_constituent(kl)
-    make = lg_mode if envelope == "lg" else gaussian_helical_mode
-    slots: Dict[str, Optional[np.ndarray]] = {"L": None, "R": None}
-    for key in sorted(kl.terms):
-        pol, ell = key
-        center = (dx, dy) if key == target else (0.0, 0.0)
-        term = kl.terms[key] * make(grid, ell, waist, center=center).samples
-        slots[pol] = term if slots[pol] is None else slots[pol] + term
-    comp_l, comp_r = (zero_scalar(grid) if slots[pol] is None
-                      else ScalarField(grid, slots[pol]) for pol in "LR")
-    return VectorField(grid, comp_l, comp_r, basis="LR")
+    return ket_to_field(kl, grid, waist, envelope=envelope,
+                        centers={_offset_constituent(kl): (dx, dy)})
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> ScenarioResult:
@@ -432,14 +430,13 @@ def _run_correlations(doc: Dict, out_root: str) -> List[str]:
         with open(os.path.join(out_root, name), "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write("basis,idler,theta,probability\n")
-            for basis, pair in (("HV", ("H", "V")), ("DA", ("D", "A"))):
-                for idler in pair:
+            for basis in ("HV", "DA"):
+                for idler in BASIS_PAIR[basis]:
                     for t in th:
                         p = coincidence_probability(b, float(t), idler)
                         fh.write(f"{basis},{idler},{t:.17g},{p:.17g}\n")
+                summary.append([label, basis, f"{visibility_in_basis(b, basis):.12g}"])
         files.append(name)
-        for basis in ("HV", "DA"):
-            summary.append([label, basis, f"{visibility_in_basis(b, basis):.12g}"])
     with open(os.path.join(out_root, "summary.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("label,basis,visibility\n")

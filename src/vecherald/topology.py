@@ -33,7 +33,8 @@ class SingularityReport:
     radial_lines: Optional[int] = None
 
 
-def _ring_values(arr: np.ndarray, grid, center, radius: float, n: int) -> np.ndarray:
+def _ring_values(arr: np.ndarray, grid, center, radius, n: int) -> np.ndarray:
+    """n samples on a circle; a column of radii gives one ring per row."""
     th = np.arange(n) * (2.0 * np.pi / n)
     xs = center[0] + radius * np.cos(th)
     ys = center[1] + radius * np.sin(th)
@@ -206,7 +207,7 @@ def _refine_zero(s: StokesMap, x: float, y: float) -> Tuple[float, float]:
 def _half_max_radius(s: StokesMap, center, grid) -> float:
     """Loop radius for a dark-core singularity: where ring-mean S0 reaches half max."""
     radii = np.linspace(0.1, 0.7 * grid.half_width, 30)
-    means = np.array([_ring_values(s.s0, grid, center, r, 128).mean() for r in radii])
+    means = _ring_values(s.s0, grid, center, radii[:, None], 128).mean(axis=1)
     peak = means.argmax()
     half = 0.5 * means[peak]
     for r, m in zip(radii[:peak + 1], means[:peak + 1]):

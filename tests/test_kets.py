@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vecherald.fields import hv_arrays, make_grid, vector_power
+from vecherald.fields import (gaussian_helical_mode, hv_arrays, lg_mode,
+                              make_grid, polarized_mode, vector_power)
 from vecherald.kets import (BiphotonKet, PolKet, PumpSpec, SpdcConfig,
                             basis_change, coincidence_probability,
                             degraded_bell_state, find_visibility_parameters,
@@ -139,6 +140,42 @@ def test_ket_to_field_respects_basis():
     eh, ev = hv_arrays(f)
     s3 = -2 * np.imag(eh * np.conj(ev))
     assert (s3 >= -1e-12).all()  # left-circular everywhere
+
+
+# The declared conventions, written out independently of the code's tables.
+JONES = {"H": (1, 0), "V": (0, 1), "D": (1 / SQ2, 1 / SQ2), "A": (1 / SQ2, -1 / SQ2),
+         "L": (1 / SQ2, 1j / SQ2), "R": (1 / SQ2, -1j / SQ2)}
+
+
+@pytest.mark.parametrize("pol", sorted(JONES))
+def test_label_jones_vector_on_ket_and_field_routes(pol):
+    jh, jv = JONES[pol]
+    k = PolKet.from_terms([(pol, 1, 1.0)])
+    assert k.amplitude("H", 1) == pytest.approx(jh, abs=1e-15)
+    assert k.amplitude("V", 1) == pytest.approx(jv, abs=1e-15)
+    g = make_grid(32, 32, 4.0)
+    mode = lg_mode(g, 1).samples
+    eh, ev = hv_arrays(polarized_mode(g, pol, 1))
+    np.testing.assert_allclose(eh, jh * mode, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ev, jv * mode, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("envelope,make", [("lg", lg_mode),
+                                           ("gaussian", gaussian_helical_mode)])
+def test_ket_to_field_centers_shift_only_listed_terms(envelope, make):
+    g = make_grid(48, 48, 4.0)
+    c = (0.15, -0.1)
+    k = PolKet({("L", 2): 0.6, ("L", 0): 0.3j, ("R", -1): 0.2 - 0.4j}, basis="LR")
+    f = ket_to_field(k, g, envelope=envelope, centers={("L", 2): c})
+    np.testing.assert_allclose(
+        f.comp1.samples,
+        0.3j * make(g, 0).samples + 0.6 * make(g, 2, center=c).samples,
+        rtol=0, atol=1e-15)
+    np.testing.assert_allclose(f.comp2.samples, (0.2 - 0.4j) * make(g, -1).samples,
+                               rtol=0, atol=1e-15)
+    # the shift is real: the listed term no longer matches its centred mode
+    centred = ket_to_field(k, g, envelope=envelope)
+    assert np.abs(f.comp1.samples - centred.comp1.samples).max() > 1e-3
 
 
 def test_ideal_bell_fringes():

@@ -8,7 +8,7 @@ from vecherald.fields import make_grid
 from vecherald.kets import (PumpSpec, basis_change, ket_to_field, pump_state,
                             rotate_ket)
 from vecherald.polarimetry import stokes_of_field
-from vecherald.scenarios import (ScenarioConfig, deformation_metric,
+from vecherald.scenarios import (ScenarioConfig, _pump_ket, deformation_metric,
                                  run_figure_suite, run_scenario)
 
 SMALL = {"grid": {"nx": 64, "ny": 64, "half_width": 4.0}}
@@ -66,6 +66,16 @@ def test_qplate_pump_route():
     assert abs(abs(k.amplitude("R", 1)) - 1 / np.sqrt(2)) < 1e-12
     assert abs(abs(k.amplitude("L", -1)) - 1 / np.sqrt(2)) < 1e-12
     assert abs(k.norm() - 1.0) < 1e-12
+
+
+def test_empty_qplate_echoes_no_pump():
+    cfg = ScenarioConfig.from_dict({"qplate": {}, **SMALL})
+    doc = cfg.to_dict()
+    assert doc["pump"] is None and doc["qplate"] == {}
+    # the echo rebuilds the plate route, not the default pump
+    again = ScenarioConfig.from_dict(doc)
+    assert _pump_ket(again).terms == _pump_ket(cfg).terms
+    assert _pump_ket(cfg).terms != pump_state(PumpSpec("FP", 0.5, 0.0)).terms
 
 
 def test_herald_none_analyzes_pump():

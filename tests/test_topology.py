@@ -7,8 +7,11 @@ from vecherald.fields import make_grid
 from vecherald.kets import (PolKet, PumpSpec, herald, ket_to_field,
                             project_idler_oam0, pump_state, rotate_ket,
                             spdc_state)
-from vecherald.polarimetry import stokes_of_field
-from vecherald.topology import (_component_centroids, _merge_close,
+from vecherald.polarimetry import (PolarimeterConfig, StokesMap,
+                                   reconstruct_stokes, simulate_frames,
+                                   stokes_of_field)
+from vecherald.topology import (_component_centroids, _half_max_radius,
+                                _merge_close, _ring_values,
                                 count_radial_lines, classify,
                                 disclination_index, find_singularities,
                                 lobe_label, radial_line_count,
@@ -281,6 +284,43 @@ def test_merge_close_matches_loop():
     for pts in sets:
         points = [(float(x), float(y)) for x, y in pts]
         assert _merge_close(points, 0.3) == _merge_close_loop(points, 0.3)
+
+
+def _half_max_radius_loop(s, center, grid):
+    """Reference: one ring-sampling call per trial radius."""
+    radii = np.linspace(0.1, 0.7 * grid.half_width, 30)
+    means = np.array([_ring_values(s.s0, grid, center, r, 128).mean() for r in radii])
+    peak = means.argmax()
+    half = 0.5 * means[peak]
+    for r, m in zip(radii[:peak + 1], means[:peak + 1]):
+        if m >= half:
+            return float(r)
+    return float(radii[peak])
+
+
+def test_half_max_radius_matches_per_radius_loop():
+    # a dark-core VV q=1 pump: the chosen radius varies with the center
+    g = make_grid(96, 96, 4.0)
+    field = ket_to_field(pump_state(PumpSpec("VV", 1.0, 0.0)), g)
+    clean = stokes_of_field(field)
+    pcfg = PolarimeterConfig(noise_rms=0.03, seed=3)
+    noisy = reconstruct_stokes(simulate_frames(field, pcfg), pcfg, g)
+    rng = np.random.default_rng(11)
+    # speckle makes every ring mean depend on exactly which samples it takes
+    speckled = StokesMap(g, clean.s0 * rng.uniform(0.0, 2.0, clean.s0.shape),
+                         clean.s1, clean.s2, clean.s3)
+    centers = [(0.0, 0.0)] + [tuple(c) for c in rng.uniform(-0.5, 0.5, (60, 2))]
+    radii = np.linspace(0.1, 0.7 * g.half_width, 30)
+    chosen = set()
+    for s in (clean, noisy, speckled):
+        for c in centers:
+            r = _half_max_radius(s, c, g)
+            assert r == _half_max_radius_loop(s, c, g)
+            chosen.add(r)
+            rings = _ring_values(s.s0, g, c, radii[:, None], 128)
+            for radius, row in zip(radii, rings):
+                assert np.array_equal(row, _ring_values(s.s0, g, c, radius, 128))
+    assert len(chosen) >= 5
 
 
 def test_find_singularities_1024_runtime():
