@@ -8,7 +8,7 @@ resulting polarization topography.
 
 __version__ = "0.1.0"
 
-from .fields import GridSpec, ScalarField, VectorField, make_grid, lg_mode, overlap, power, translate, superpose
+from .fields import GridSpec, VectorField, make_grid, lg_mode, overlap, power, translate
 from .kets import (
     PolKet, BiphotonKet, PumpSpec, SpdcConfig,
     basis_change, pump_state, spdc_state, project_idler_oam0, herald,

@@ -1,4 +1,7 @@
-"""Scalar and vector transverse fields on a square sampling window.
+"""Transverse fields on a square sampling window.
+
+A scalar field is a complex ndarray shaped (ny, nx), row index along y; a
+VectorField holds two of them plus the polarization basis they live in.
 
 All lengths are quoted in units of the beam waist by convention: the default
 grid spans 4 waists half-width at 256 x 256 samples.  Even sample counts put
@@ -11,7 +14,6 @@ central singularity as on the neighbouring even grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -85,23 +87,6 @@ def make_grid(nx: int = 256, ny: int = 256, half_width: float = 4.0) -> GridSpec
     return GridSpec(nx=nx, ny=ny, half_width=half_width)
 
 
-@dataclass
-class ScalarField:
-    """Complex scalar amplitude sampled on a grid."""
-
-    grid: GridSpec
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.samples.shape != (self.grid.ny, self.grid.nx):
-            raise ValueError(
-                f"samples shape {self.samples.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nx})"
-            )
-        if self.samples.dtype != np.complex128:
-            object.__setattr__(self, "samples", self.samples.astype(np.complex128))
-
-
 def _check_shift(grid: GridSpec, dx: float, dy: float) -> None:
     """Shifts stay under half the window half-width so the support stays inside."""
     hw = grid.half_width
@@ -109,22 +94,9 @@ def _check_shift(grid: GridSpec, dx: float, dy: float) -> None:
         raise ValueError(f"shift ({dx}, {dy}) exceeds half_width/2 = {0.5 * hw}")
 
 
-def _normalized(grid: GridSpec, raw: np.ndarray, centred: np.ndarray) -> ScalarField:
-    """raw scaled by 1/norm of the centred samples, so a shift keeps the scale."""
-    norm = np.sqrt(np.sum(np.abs(centred) ** 2) * grid.pixel_area)
-    if norm == 0.0:
-        raise ValueError("mode vanishes on this grid")
-    return ScalarField(grid=grid, samples=raw * (1.0 / norm))
-
-
-def lg_mode(grid: GridSpec, ell: int, waist: float = 1.0,
-            center: tuple[float, float] = (0.0, 0.0)) -> ScalarField:
-    """Laguerre-Gauss mode with zero radial order, normalized to unit power.
-
-    Amplitude goes as (sqrt(2) r / w)^|ell| exp(-r^2/w^2) exp(i ell phi); the
-    intensity ring of the ell-th mode peaks at r = w sqrt(|ell|/2).  A nonzero
-    center shifts the closed form exactly and keeps the centred mode's scale.
-    """
+def _mode(samples, grid: GridSpec, ell: int, waist: float,
+          center: tuple[float, float]) -> np.ndarray:
+    """samples(x, y, ell, waist) about center, scaled by 1/norm of the centred mode."""
     if int(ell) != ell:
         raise ValueError("ell must be an integer")
     ell = int(ell)
@@ -133,9 +105,23 @@ def lg_mode(grid: GridSpec, ell: int, waist: float = 1.0,
     x0, y0 = center
     _check_shift(grid, x0, y0)
     xg, yg = grid.meshes()
-    raw = kernels.lg_samples(xg - x0, yg - y0, ell, waist)
-    centred = raw if x0 == 0.0 and y0 == 0.0 else kernels.lg_samples(xg, yg, ell, waist)
-    return _normalized(grid, raw, centred)
+    raw = samples(xg - x0, yg - y0, ell, waist)
+    centred = raw if x0 == 0.0 and y0 == 0.0 else samples(xg, yg, ell, waist)
+    norm = np.sqrt(np.sum(np.abs(centred) ** 2) * grid.pixel_area)
+    if norm == 0.0:
+        raise ValueError("mode vanishes on this grid")
+    return raw * (1.0 / norm)
+
+
+def lg_mode(grid: GridSpec, ell: int, waist: float = 1.0,
+            center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+    """Laguerre-Gauss mode with zero radial order, normalized to unit power.
+
+    Amplitude goes as (sqrt(2) r / w)^|ell| exp(-r^2/w^2) exp(i ell phi); the
+    intensity ring of the ell-th mode peaks at r = w sqrt(|ell|/2).  A nonzero
+    center shifts the closed form exactly and keeps the centred mode's scale.
+    """
+    return _mode(kernels.lg_samples, grid, ell, waist, center)
 
 
 def _helical_samples(xg, yg, ell: int, waist: float) -> np.ndarray:
@@ -146,7 +132,7 @@ def _helical_samples(xg, yg, ell: int, waist: float) -> np.ndarray:
 
 
 def gaussian_helical_mode(grid: GridSpec, ell: int, waist: float = 1.0,
-                          center: tuple[float, float] = (0.0, 0.0)) -> ScalarField:
+                          center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
     """Fundamental Gaussian envelope carrying a pure helical phase exp(i ell phi).
 
     Unlike lg_mode the radial profile does not depend on ell, which makes the
@@ -154,95 +140,59 @@ def gaussian_helical_mode(grid: GridSpec, ell: int, waist: float = 1.0,
     representation-consistency checks of the plate operator.  center shifts
     it as in lg_mode.
     """
-    if int(ell) != ell:
-        raise ValueError("ell must be an integer")
-    ell = int(ell)
-    x0, y0 = center
-    _check_shift(grid, x0, y0)
-    xg, yg = grid.meshes()
-    raw = _helical_samples(xg - x0, yg - y0, ell, waist)
-    centred = raw if x0 == 0.0 and y0 == 0.0 else _helical_samples(xg, yg, ell, waist)
-    return _normalized(grid, raw, centred)
+    return _mode(_helical_samples, grid, ell, waist, center)
 
 
-def overlap(a: ScalarField, b: ScalarField) -> complex:
+def overlap(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> complex:
     """Inner product <a|b> with the pixel-area measure (pairwise summation)."""
-    if a.grid != b.grid:
-        raise ValueError("overlap requires both fields on the same grid")
-    return complex(np.sum(np.conj(a.samples) * b.samples) * a.grid.pixel_area)
+    return complex(np.sum(np.conj(a) * b) * grid.pixel_area)
 
 
-def power(f: ScalarField) -> float:
-    return float(np.sum(np.abs(f.samples) ** 2) * f.grid.pixel_area)
+def power(grid: GridSpec, a: np.ndarray) -> float:
+    return float(np.sum(np.abs(a) ** 2) * grid.pixel_area)
 
 
-def translate(f: ScalarField, dx: float, dy: float) -> ScalarField:
+def translate(grid: GridSpec, a: np.ndarray, dx: float, dy: float) -> np.ndarray:
     """Shift sampled values by (dx, dy) with bilinear interpolation.
 
     For an exact shift of an analytic mode use the mode's center argument.
     Shifts are capped at half of the window half-width.
     """
-    _check_shift(f.grid, dx, dy)
-    hw = f.grid.half_width
-    xg, yg = f.grid.meshes()
+    _check_shift(grid, dx, dy)
+    hw = grid.half_width
+    xg, yg = grid.meshes()
     vals = kernels.bilinear_sample(
-        f.samples, (xg - dx).ravel(), (yg - dy).ravel(),
-        -hw, -hw, f.grid.pitch_x, f.grid.pitch_y)
-    return ScalarField(grid=f.grid, samples=vals.reshape(f.samples.shape))
-
-
-def superpose(pairs: Sequence[Tuple["VectorField", complex]]) -> "VectorField":
-    """Coherent weighted sum of polarized fields, renormalized to unit power.
-
-    Each entry is (field, weight).  Fields are converted to the basis of the
-    first entry before summing.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one (field, weight) entry")
-    grid = pairs[0][0].grid
-    basis = pairs[0][0].basis
-    converted = []
-    for vf, w in pairs:
-        if vf.grid != grid:
-            raise ValueError("superpose requires a common grid")
-        converted.append((convert_basis(vf, basis), complex(w)))
-    s1 = np.zeros((grid.ny, grid.nx), np.complex128)
-    s2 = np.zeros_like(s1)
-    for vf, w in converted:
-        s1 += w * vf.comp1.samples
-        s2 += w * vf.comp2.samples
-    norm = np.sqrt((np.sum(np.abs(s1) ** 2) + np.sum(np.abs(s2) ** 2)) * grid.pixel_area)
-    if norm < 1e-12:
-        raise ValueError("superposition cancels to zero power")
-    return VectorField(grid=grid, comp1=ScalarField(grid, s1 / norm),
-                       comp2=ScalarField(grid, s2 / norm), basis=basis)
+        a, (xg - dx).ravel(), (yg - dy).ravel(),
+        -hw, -hw, grid.pitch_x, grid.pitch_y)
+    return vals.reshape(a.shape)
 
 
 @dataclass
 class VectorField:
-    """Two scalar components on a shared grid plus the basis they live in.
+    """Two complex sample arrays, shaped (ny, nx), plus the basis they live in.
 
     Component order per basis: HV = (H, V), DA = (D, A), LR = (L, R).
     """
 
     grid: GridSpec
-    comp1: ScalarField
-    comp2: ScalarField
+    comp1: np.ndarray
+    comp2: np.ndarray
     basis: str = "HV"
 
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
-        if self.comp1.grid != self.grid or self.comp2.grid != self.grid:
-            raise ValueError("vector field components must share the grid")
-
-    def component_arrays(self):
-        return self.comp1.samples, self.comp2.samples
+        shape = (self.grid.ny, self.grid.nx)
+        for name in ("comp1", "comp2"):
+            comp = np.asarray(getattr(self, name), np.complex128)
+            if comp.shape != shape:
+                raise ValueError(
+                    f"{name} shape {comp.shape} does not match grid {shape}")
+            setattr(self, name, comp)
 
 
 def vector_power(vf: VectorField) -> float:
-    return power(vf.comp1) + power(vf.comp2)
+    return power(vf.grid, vf.comp1) + power(vf.grid, vf.comp2)
 
 
 def convert_basis(vf: VectorField, target: str) -> VectorField:
@@ -253,23 +203,18 @@ def convert_basis(vf: VectorField, target: str) -> VectorField:
     comps = hv_arrays(vf)
     if target != "HV":
         comps = apply_table(FROM_HV[target], *comps)
-    return VectorField(grid=vf.grid, comp1=ScalarField(vf.grid, comps[0]),
-                       comp2=ScalarField(vf.grid, comps[1]), basis=target)
+    return VectorField(vf.grid, *comps, basis=target)
 
 
 def hv_arrays(vf: VectorField):
     """The (E_H, E_V) sample arrays regardless of the stored basis."""
     if vf.basis == "HV":
-        return vf.comp1.samples, vf.comp2.samples
-    return apply_table(TO_HV[vf.basis], vf.comp1.samples, vf.comp2.samples)
+        return vf.comp1, vf.comp2
+    return apply_table(TO_HV[vf.basis], vf.comp1, vf.comp2)
 
 
 _LABEL_SLOT = {pol: (basis, slot) for basis, pair in BASIS_PAIR.items()
                for slot, pol in enumerate(pair)}
-
-
-def zero_scalar(grid: GridSpec) -> ScalarField:
-    return ScalarField(grid=grid, samples=np.zeros((grid.ny, grid.nx), np.complex128))
 
 
 def polarized_mode(grid: GridSpec, pol: str, ell: int, waist: float = 1.0) -> VectorField:
@@ -278,6 +223,6 @@ def polarized_mode(grid: GridSpec, pol: str, ell: int, waist: float = 1.0) -> Ve
         raise ValueError(f"unknown polarization label {pol!r}")
     basis, slot = _LABEL_SLOT[pol]
     mode = lg_mode(grid, ell, waist)
-    zero = zero_scalar(grid)
+    zero = np.zeros_like(mode)
     comps = (mode, zero) if slot == 0 else (zero, mode)
-    return VectorField(grid=grid, comp1=comps[0], comp2=comps[1], basis=basis)
+    return VectorField(grid, *comps, basis=basis)

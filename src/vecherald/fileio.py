@@ -201,7 +201,7 @@ def render_ellipse_preview(s: StokesMap, em: EllipseMap, stride: int = 16) -> np
     """
     g = s.grid
     peak = s.s0.max()
-    gray = np.sqrt(s.s0 / peak) if peak > 0 else np.zeros_like(s.s0)
+    gray = np.sqrt(np.maximum(s.s0, 0.0) / peak) if peak > 0 else np.zeros_like(s.s0)
     rgb = np.repeat((gray * 170.0).astype(np.uint8)[:, :, None], 3, axis=2)
     half = 0.45 * stride
     t = np.arange(64) * (2.0 * np.pi / 64)

@@ -16,9 +16,8 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .fields import (BASES, BASIS_PAIR, FROM_HV, TO_HV, GridSpec, ScalarField,
-                     VectorField, apply_table, gaussian_helical_mode, lg_mode,
-                     zero_scalar)
+from .fields import (BASES, BASIS_PAIR, FROM_HV, TO_HV, GridSpec, VectorField,
+                     apply_table, gaussian_helical_mode, lg_mode)
 
 _SQ2 = np.sqrt(2.0)
 
@@ -339,16 +338,13 @@ def ket_to_field(k: PolKet, grid: GridSpec, waist: float = 1.0,
     comps = []
     for pol in BASIS_PAIR[k.basis]:
         entries = sorted((ell, amp) for (p, ell), amp in k.terms.items() if p == pol)
-        if entries:
-            modes = [make(grid, ell, waist, center=centers.get((pol, ell), (0.0, 0.0)))
-                     for ell, _ in entries]
-            total = np.zeros((grid.ny, grid.nx), np.complex128)
-            for f, (_, amp) in zip(modes, entries):
-                total += amp * f.samples
-            comps.append(ScalarField(grid=grid, samples=total))
-        else:
-            comps.append(zero_scalar(grid))
-    return VectorField(grid=grid, comp1=comps[0], comp2=comps[1], basis=k.basis)
+        modes = [make(grid, ell, waist, center=centers.get((pol, ell), (0.0, 0.0)))
+                 for ell, _ in entries]
+        total = np.zeros((grid.ny, grid.nx), np.complex128)
+        for mode, (_, amp) in zip(modes, entries):
+            total += amp * mode
+        comps.append(total)
+    return VectorField(grid, *comps, basis=k.basis)
 
 
 # ------------------------------------------------------ coincidence analysis

@@ -54,6 +54,8 @@ class PolarimeterConfig:
         if not (np.isfinite(self.noise_rms) and self.noise_rms >= 0):
             raise ValueError(
                 f"noise_rms must be finite and nonnegative, got {self.noise_rms}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import ScalarField, VectorField, convert_basis
+from .fields import VectorField, convert_basis
 from .kets import PolKet, basis_change
 
 PRESET_RETARDANCE = {"half-wave": np.pi, "quarter-wave": np.pi / 2}
@@ -87,7 +87,5 @@ def qplate_apply_field(f: VectorField, p: QPlateParams) -> VectorField:
     hv = convert_basis(f, "HV")
     xg, yg = f.grid.meshes()
     two_beta = 2.0 * (p.charge * np.arctan2(yg, xg) + p.axis_offset)
-    oh, ov = kernels.retarder_apply(hv.comp1.samples, hv.comp2.samples,
-                                    two_beta, p.retardance)
-    return VectorField(grid=f.grid, comp1=ScalarField(f.grid, oh),
-                       comp2=ScalarField(f.grid, ov), basis="HV")
+    oh, ov = kernels.retarder_apply(hv.comp1, hv.comp2, two_beta, p.retardance)
+    return VectorField(f.grid, oh, ov, basis="HV")

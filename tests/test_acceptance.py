@@ -113,7 +113,7 @@ def test_criterion_03_dual_representation():
                     "HV")
                 for a, b in ((via_ket.comp1, via_field.comp1),
                              (via_ket.comp2, via_field.comp2)):
-                    worst = max(worst, float(np.abs(a.samples - b.samples).max()))
+                    worst = max(worst, float(np.abs(a - b).max()))
     _report(3, worst < 1e-9,
             f"ket vs pointwise plate action on 256^2, |ell|<=3, max diff {worst:.3g}")
 

@@ -70,7 +70,8 @@ def test_unknown_key_exits_three(tmp_path, capsys):
                                       "pump.charge=null",
                                       'spdc.spectrum={"0":[1]}',
                                       "spdc.spectrum=[1]",
-                                      'qplate=["charge"]'])
+                                      'qplate=["charge"]',
+                                      "polarimeter.seed=-1"])
 def test_invalid_value_exits_three_before_compute(tmp_path, capsys, override):
     out = tmp_path / "run"
     code = parse_and_dispatch(["herald", "--set", "herald=A", "--set", override,

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from vecherald import kernels
-from vecherald.fields import (GridSpec, ScalarField, VectorField, convert_basis,
+from vecherald.fields import (GridSpec, VectorField, convert_basis,
                               gaussian_helical_mode, hv_arrays, lg_mode,
                               make_grid, overlap, polarized_mode, power,
-                              superpose, translate, vector_power)
+                              translate)
+from vecherald.kets import PolKet, ket_to_field
 
 
 def test_grid_axes_and_pitch():
@@ -29,21 +30,21 @@ def test_grid_validation():
 def test_lg_mode_unit_power(ell):
     g = make_grid(128, 128, 4.0)
     m = lg_mode(g, ell)
-    assert power(m) == pytest.approx(1.0, abs=1e-9)
+    assert power(g, m) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lg_ring_radius():
     g = make_grid(256, 256, 4.0)
     m = lg_mode(g, 2)
-    iy, ix = np.unravel_index(np.argmax(np.abs(m.samples)), m.samples.shape)
+    iy, ix = np.unravel_index(np.argmax(np.abs(m)), m.shape)
     r = np.hypot(g.x_axis()[ix], g.y_axis()[iy])
     assert r == pytest.approx(1.0, abs=2 * g.pitch_x)  # sqrt(|l|/2) w0
 
 
 def test_lg_orthogonality():
     g = make_grid(128, 128, 4.0)
-    assert abs(overlap(lg_mode(g, 1), lg_mode(g, 2))) < 1e-12
-    assert overlap(lg_mode(g, 1), lg_mode(g, 1)).real == pytest.approx(1.0, abs=1e-9)
+    assert abs(overlap(g, lg_mode(g, 1), lg_mode(g, 2))) < 1e-12
+    assert overlap(g, lg_mode(g, 1), lg_mode(g, 1)).real == pytest.approx(1.0, abs=1e-9)
 
 
 def _closed_form(make, x, y, ell, waist):
@@ -64,51 +65,24 @@ def test_center_shift_exact(make):
     centred = _closed_form(make, xg, yg, 1, 1.0)
     scale = 1.0 / np.sqrt(np.sum(np.abs(centred) ** 2) * g.pixel_area)
     shifted = make(g, 1, center=(dx, dy))
-    assert np.array_equal(shifted.samples,
-                          _closed_form(make, xg - dx, yg - dy, 1, 1.0) * scale)
-    assert np.array_equal(make(g, 1).samples, centred * scale)
-    assert power(shifted) < 0.99
+    assert np.array_equal(shifted, _closed_form(make, xg - dx, yg - dy, 1, 1.0) * scale)
+    assert np.array_equal(make(g, 1), centred * scale)
+    assert power(g, shifted) < 0.99
 
 
 def test_translate_shift_limit():
     g = make_grid(64, 64, 4.0)
     with pytest.raises(ValueError):
-        translate(lg_mode(g, 0), 3.0, 0.0)
+        translate(g, lg_mode(g, 0), 3.0, 0.0)
     for make in (lg_mode, gaussian_helical_mode):
         for center in ((2.0, 0.0), (0.0, -2.5), (np.nan, 0.0)):
             with pytest.raises(ValueError):
                 make(g, 1, center=center)
 
 
-def test_superpose_unit_power_and_basis():
-    g = make_grid(96, 96, 4.0)
-    a = polarized_mode(g, "H", 0)
-    b = polarized_mode(g, "V", 1)
-    out = superpose([(a, 1.0), (b, 1.0j)])
-    assert out.basis == "HV"
-    assert vector_power(out) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_superpose_mixes_bases():
-    g = make_grid(96, 96, 4.0)
-    a = polarized_mode(g, "H", 0)
-    b = polarized_mode(g, "L", 0)  # stored in LR basis
-    out = superpose([(a, 1.0), (b, -1.0)])
-    # H - L = H - (H + iV)/sqrt2, so a V component must appear
-    _, v = hv_arrays(out)
-    assert np.abs(v).max() > 0.01
-
-
-def test_superpose_rejects_zero_sum():
-    g = make_grid(64, 64, 4.0)
-    a = polarized_mode(g, "H", 0)
-    with pytest.raises(ValueError):
-        superpose([(a, 1.0), (a, -1.0)])
-
-
 def test_convert_basis_roundtrip():
     g = make_grid(64, 64, 4.0)
-    f = superpose([(polarized_mode(g, "H", 1), 0.8), (polarized_mode(g, "V", 0), 0.6j)])
+    f = ket_to_field(PolKet.from_terms([("H", 1, 0.8), ("V", 0, 0.6j)]), g)
     back = convert_basis(convert_basis(f, "LR"), "HV")
     ah, av = hv_arrays(f)
     bh, bv = hv_arrays(back)
@@ -133,4 +107,26 @@ def test_gaussian_helical_closed_family():
     m3 = gaussian_helical_mode(g, 3)
     xg, yg = g.meshes()
     phase = np.exp(2j * np.arctan2(yg, xg))
-    assert np.abs(m1.samples * phase - m3.samples).max() < 1e-12
+    assert np.abs(m1 * phase - m3).max() < 1e-12
+
+
+@pytest.mark.parametrize("make", [lg_mode, gaussian_helical_mode],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ell, waist", [(1.5, 1.0), (1, 0.0), (1, -1.0), (1, np.nan)])
+def test_mode_rejects_bad_ell_and_waist(make, ell, waist):
+    g = make_grid(32, 32, 4.0)
+    with pytest.raises(ValueError):
+        make(g, ell, waist=waist)
+
+
+def test_vector_field_checks_components():
+    g = make_grid(32, 16, 4.0)
+    ok = np.zeros((16, 32), np.complex128)
+    with pytest.raises(ValueError, match="comp2 shape"):
+        VectorField(g, ok, np.zeros((32, 16), np.complex128))
+    with pytest.raises(ValueError, match="basis"):
+        VectorField(g, ok, ok, basis="XY")
+    real = np.ones((16, 32))
+    vf = VectorField(g, real, ok)
+    assert vf.comp1.dtype == np.complex128 and np.array_equal(vf.comp1, real)
+    assert vf.comp2 is ok

@@ -9,7 +9,8 @@ from vecherald.fields import make_grid
 from vecherald.kets import (BiphotonKet, PolKet, PumpSpec, ket_to_field,
                             project_idler_oam0, pump_state, spdc_state)
 from vecherald.polarimetry import (PolarimeterConfig, ellipse_map,
-                                   simulate_frames, stokes_of_field)
+                                   reconstruct_stokes, simulate_frames,
+                                   stokes_of_field)
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +41,11 @@ def test_matrix_header_mismatch(tmp_path):
 def test_complex_matrix_pair(tmp_path, small_map):
     g, f, _ = small_map
     stem = str(tmp_path / "field_L")
-    paths = fileio.write_complex_matrix(stem, f.comp1.samples, g)
+    paths = fileio.write_complex_matrix(stem, f.comp1, g)
     assert [os.path.basename(p) for p in paths] == ["field_L_re.txt", "field_L_im.txt"]
     back, g2 = fileio.read_complex_matrix(stem)
     assert g2 == g
-    assert np.array_equal(back, f.comp1.samples)
+    assert np.array_equal(back, f.comp1)
 
 
 def test_ket_json_roundtrip(tmp_path):
@@ -130,6 +131,19 @@ def test_preview_deterministic(small_map):
     a = fileio.render_ellipse_preview(s, em)
     b = fileio.render_ellipse_preview(s, em)
     assert np.array_equal(a, b)
+
+
+def test_preview_of_noisy_map_clamps_negative_s0():
+    g = make_grid(64, 64, 4.0)
+    cfg = PolarimeterConfig(noise_rms=0.01, seed=3)
+    f = ket_to_field(pump_state(PumpSpec("FP", 0.5, 0.0)), g)
+    s = reconstruct_stokes(simulate_frames(f, cfg), cfg, g)
+    assert s.s0.min() < 0
+    em = ellipse_map(s)
+    fileio.render_ellipse_preview(s, em)
+    # A stride wider than the grid draws no glyphs, leaving the S0 underlay.
+    gray = fileio.render_ellipse_preview(s, em, stride=2 * g.nx)[::-1, :, 0]
+    assert gray[s.s0 <= 0].max() == 0 and gray.max() == 170
 
 
 def test_manifest_stable_across_reruns(tmp_path, small_map):
