@@ -17,6 +17,7 @@ from typing import Dict, Optional, Sequence
 
 from . import fileio
 from .kets import project_idler_oam0, spdc_state
+from .polarimetry import StokesMap
 from .scenarios import (FIGURE_IDS, ScenarioConfig, run_figure_suite,
                         run_scenario)
 from .topology import find_singularities, s3_lobe_count
@@ -68,8 +69,9 @@ _SUBCOMMANDS = (
     ("polarimetry", "rotating-plate frames and Stokes maps", _SCHEMA, ()),
     ("topology", "singularity analysis of a run or Stokes export",
      "either --config (runs the pipeline) or --stokes DIR\n"
-     "(analyzes exported s0..s3.txt)\n" + _SCHEMA,
-     (("--stokes", None, dict(help="directory holding s0.txt..s3.txt")),)),
+     "(analyzes exported s0..s3.npy with their grid.json)\n" + _SCHEMA,
+     (("--stokes", None,
+       dict(help="directory holding s0.npy..s3.npy and grid.json")),)),
     ("scenario", "run one fully specified scenario", _SCHEMA, ()),
     ("suite", "run a whole figure suite", "figure ids: " + ", ".join(FIGURE_IDS),
      (("figure", None, dict(choices=FIGURE_IDS)),)),
@@ -155,8 +157,7 @@ def _resolve_out(args, label: str) -> str:
     return os.path.join(root, label)
 
 
-def _run_topology_on_export(stokes_dir: str, out_dir: str) -> None:
-    smap = fileio.read_stokes(stokes_dir)
+def _run_topology_on_export(smap: StokesMap, stokes_dir: str, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     reports = find_singularities(smap)
     fileio.write_singularity_report(os.path.join(out_dir, "singularities.json"),
@@ -187,11 +188,15 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
 
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "suite":
             label = args.figure
             out_dir = _resolve_out(args, label)
             cfg = None
         elif args.command == "topology" and args.stokes:
+            # An unreadable export is a bad input, rejected like a bad config.
+            smap = fileio.read_stokes(args.stokes)
             out_dir = _resolve_out(args, "topology")
             cfg = None
         else:
@@ -208,7 +213,7 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
         if args.command == "suite":
             run_figure_suite(args.figure, out_dir, workers=args.threads)
         elif args.command == "topology" and args.stokes:
-            _run_topology_on_export(args.stokes, out_dir)
+            _run_topology_on_export(smap, args.stokes, out_dir)
         elif args.command == "spdc":
             _run_spdc_export(cfg, out_dir)
         else:

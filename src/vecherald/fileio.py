@@ -1,10 +1,11 @@
-"""Text-first artifact I/O.
+"""Deterministic artifact I/O.
 
-Everything a run produces is plain text (matrices, CSV, JSON) except raster
-previews, which are binary portable pixmaps.  Writers are deterministic:
-fixed field order, sorted keys, 17 significant digits for floats in matrix
-files, no timestamps.  Reruns with an identical config must produce
-byte-identical artifacts.
+Real 2D matrices are binary ``.npy`` files: C-ordered float64, one per
+array, with the grid they sample stated once per directory in
+``grid.json``.  Kets, configs, reports and manifests are JSON, ellipse
+tables are CSV, and previews are binary portable pixmaps.  Writers are
+deterministic: fixed field order, sorted keys, no timestamps.  Reruns with
+an identical config must produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,46 +21,71 @@ from .fields import GridSpec
 from .kets import BiphotonKet, PolKet
 from .polarimetry import CLASS_NAMES, EllipseMap, StokesMap
 
+GRID_NAME = "grid.json"
+
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def write_grid(dir_path: str, grid: GridSpec) -> str:
+    """The grid.json that states the grid of every matrix in dir_path."""
+    write_json(os.path.join(dir_path, GRID_NAME),
+               {"half_width": float(grid.half_width), "nx": grid.nx, "ny": grid.ny})
+    return GRID_NAME
+
+
+def read_grid(dir_path: str) -> GridSpec:
+    with open(os.path.join(dir_path, GRID_NAME), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or set(doc) != {"half_width", "nx", "ny"}:
+        raise ValueError(f"{dir_path}: {GRID_NAME} must hold exactly nx, ny, half_width")
+    return GridSpec(nx=int(doc["nx"]), ny=int(doc["ny"]),
+                    half_width=float(doc["half_width"]))
+
+
 def write_matrix(path: str, values: np.ndarray, grid: GridSpec) -> None:
-    """Dump one real 2D array with a "nx ny half_width" header line."""
-    a = np.asarray(values, dtype=np.float64)
+    """Dump one real 2D array as a C-ordered float64 ``.npy`` file.
+
+    The grid is checked here and stated by the directory's grid.json
+    (write_grid).  Any memory layout of the same values gives the same bytes.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64)
     if a.shape != (grid.ny, grid.nx):
         raise ValueError("array shape does not match the grid")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{grid.nx} {grid.ny} {_fmt(grid.half_width)}\n")
-        np.savetxt(fh, a, fmt="%.17g")
+    with open(path, "wb") as fh:
+        np.save(fh, a, allow_pickle=False)
+
+
+def _load_matrix(path: str, grid: GridSpec) -> np.ndarray:
+    # np.load's own .npy reader: unlike np.load it takes nothing but .npy
+    # (no .npz archive), and an empty or truncated file raises ValueError.
+    with open(path, "rb") as fh:
+        a = np.lib.format.read_array(fh, allow_pickle=False)
+    if a.dtype != np.float64 or a.shape != (grid.ny, grid.nx):
+        raise ValueError(f"{path}: expected {grid.ny}x{grid.nx} float64 values "
+                         f"as stated by {GRID_NAME}, got {a.shape} {a.dtype}")
+    return a
 
 
 def read_matrix(path: str) -> Tuple[np.ndarray, GridSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().split()
-        if len(head) != 3:
-            raise ValueError(f"{path}: malformed matrix header")
-        nx, ny, hw = int(head[0]), int(head[1]), float(head[2])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (ny, nx):
-        raise ValueError(f"{path}: expected {ny}x{nx} values, got {data.shape}")
-    return data, GridSpec(nx=nx, ny=ny, half_width=hw)
+    """One matrix and the grid stated by grid.json in the same directory."""
+    grid = read_grid(os.path.dirname(path))
+    return _load_matrix(path, grid), grid
 
 
 def write_complex_matrix(path_stem: str, values: np.ndarray, grid: GridSpec) -> List[str]:
-    """Complex arrays go out as a real/imag file pair ``stem_re/_im.txt``."""
-    paths = [path_stem + "_re.txt", path_stem + "_im.txt"]
+    """Complex arrays go out as a real/imag file pair ``stem_re/_im.npy``."""
+    paths = [path_stem + "_re.npy", path_stem + "_im.npy"]
     write_matrix(paths[0], np.real(values), grid)
     write_matrix(paths[1], np.imag(values), grid)
     return paths
 
 
 def read_complex_matrix(path_stem: str) -> Tuple[np.ndarray, GridSpec]:
-    re, grid = read_matrix(path_stem + "_re.txt")
-    im, grid2 = read_matrix(path_stem + "_im.txt")
-    if grid != grid2:
-        raise ValueError("real and imaginary parts disagree on the grid")
+    grid = read_grid(os.path.dirname(path_stem))
+    re = _load_matrix(path_stem + "_re.npy", grid)
+    im = _load_matrix(path_stem + "_im.npy", grid)
     return re + 1j * im, grid
 
 
@@ -113,54 +139,41 @@ def read_biphoton(path: str) -> BiphotonKet:
 
 def write_frames(dir_path: str, frames: np.ndarray, angles: Sequence[float],
                  grid: GridSpec, prefix: str = "frame") -> List[str]:
-    """One matrix per analyzer angle plus a frames.json angle manifest."""
+    """One matrix per analyzer angle, a frames.json angle manifest and grid.json."""
     if frames.shape[0] != len(angles):
         raise ValueError("one angle per frame required")
     names = []
     for i in range(frames.shape[0]):
-        name = f"{prefix}_{i:03d}.txt"
+        name = f"{prefix}_{i:03d}.npy"
         write_matrix(os.path.join(dir_path, name), frames[i], grid)
         names.append(name)
     write_json(os.path.join(dir_path, "frames.json"),
                {"angles": [float(a) for a in angles], "files": names})
-    return names + ["frames.json"]
+    return names + ["frames.json", write_grid(dir_path, grid)]
 
 
 def read_frames(dir_path: str) -> Tuple[np.ndarray, List[float], GridSpec]:
     with open(os.path.join(dir_path, "frames.json"), "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    stack = []
-    grid = None
-    for name in doc["files"]:
-        arr, g = read_matrix(os.path.join(dir_path, name))
-        if grid is None:
-            grid = g
-        elif g != grid:
-            raise ValueError("frames disagree on the grid")
-        stack.append(arr)
+    grid = read_grid(dir_path)
+    stack = [_load_matrix(os.path.join(dir_path, name), grid) for name in doc["files"]]
     return np.stack(stack), [float(a) for a in doc["angles"]], grid
 
 
-STOKES_NAMES = ("s0.txt", "s1.txt", "s2.txt", "s3.txt")
+STOKES_NAMES = ("s0.npy", "s1.npy", "s2.npy", "s3.npy")
 
 
 def write_stokes(dir_path: str, s: StokesMap) -> List[str]:
+    """s0..s3 matrices plus grid.json; returns the file names written."""
     for name, comp in zip(STOKES_NAMES, (s.s0, s.s1, s.s2, s.s3)):
         write_matrix(os.path.join(dir_path, name), comp, s.grid)
-    return list(STOKES_NAMES)
+    return list(STOKES_NAMES) + [write_grid(dir_path, s.grid)]
 
 
 def read_stokes(dir_path: str) -> StokesMap:
-    comps = []
-    grid = None
-    for name in STOKES_NAMES:
-        arr, g = read_matrix(os.path.join(dir_path, name))
-        if grid is None:
-            grid = g
-        elif g != grid:
-            raise ValueError("Stokes components disagree on the grid")
-        comps.append(arr)
-    return StokesMap(grid, *comps)
+    grid = read_grid(dir_path)
+    return StokesMap(grid, *(_load_matrix(os.path.join(dir_path, name), grid)
+                             for name in STOKES_NAMES))
 
 
 def write_ellipses(path: str, em: EllipseMap, stride: int = 16) -> None:

@@ -321,9 +321,10 @@ def _write_scenario(res: ScenarioResult, out_dir: str) -> None:
 
     files += ["pump/" + n for n in fileio.write_stokes(os.path.join(out_dir, "pump"), res.pump_stokes)]
 
+    files.append(fileio.write_grid(out_dir, grid))
     for ch, comp in zip(res.field.basis, (res.field.comp1, res.field.comp2)):
-        fileio.write_complex_matrix(os.path.join(out_dir, f"field_{ch}"), comp, grid)
-        files += [f"field_{ch}_re.txt", f"field_{ch}_im.txt"]
+        paths = fileio.write_complex_matrix(os.path.join(out_dir, f"field_{ch}"), comp, grid)
+        files += [os.path.basename(p) for p in paths]
 
     frame_names = fileio.write_frames(os.path.join(out_dir, "frames"), res.frames,
                                       res.config.polarimeter_config().angles, grid)

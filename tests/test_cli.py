@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 from vecherald.cli import main, parse_and_dispatch
@@ -24,7 +25,8 @@ def test_pump_run_with_flags(tmp_path, capsys):
     code = main(["pump", "--kind", "FP", "--charge", "0.5", "--out", out] + SMALL)
     assert code == 0
     for name in ("config.json", "manifest.json", "preview.ppm",
-                 os.path.join("stokes", "s0.txt"), "metrics.json"):
+                 os.path.join("stokes", "s0.npy"), os.path.join("stokes", "grid.json"),
+                 "grid.json", "field_L_re.npy", "metrics.json"):
         assert os.path.exists(os.path.join(out, name)), name
     with open(os.path.join(out, "config.json")) as fh:
         doc = json.load(fh)
@@ -190,6 +192,43 @@ def test_topology_on_stokes_export(tmp_path, capsys):
     assert doc["singularities"][0]["label"] == "star"
     assert os.path.exists(os.path.join(topo_dir, "metrics.json"))
     capsys.readouterr()
+
+
+def _export_stokes(tmp_path):
+    src = str(tmp_path / "run")
+    assert main(["pump", "--kind", "FP", "--charge", "0.5", "--out", src] + SMALL) == 0
+    return os.path.join(src, "stokes")
+
+
+def _drop_grid(stokes_dir):
+    os.remove(os.path.join(stokes_dir, "grid.json"))
+
+
+def _reshape_s2(stokes_dir):
+    np.save(os.path.join(stokes_dir, "s2.npy"), np.zeros((48, 47)))
+
+
+@pytest.mark.parametrize("damage", [None, _drop_grid, _reshape_s2])
+def test_topology_on_unreadable_export_exits_three(tmp_path, capsys, damage):
+    if damage is None:
+        stokes_dir = str(tmp_path / "missing")
+    else:
+        stokes_dir = _export_stokes(tmp_path)
+        damage(stokes_dir)
+    capsys.readouterr()
+    out = tmp_path / "topo"
+    assert parse_and_dispatch(["topology", "--stokes", stokes_dir, "--out", str(out)]) == 3
+    assert "error: config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_three(tmp_path, capsys, threads):
+    out = tmp_path / "suite"
+    assert parse_and_dispatch(["suite", "fig2", "--threads", threads,
+                               "--out", str(out)]) == 3
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repeat_runs_byte_identical(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import filecmp
 import json
 import os
 
@@ -8,8 +9,8 @@ from vecherald.fields import make_grid
 from vecherald.kets import (PumpSpec, basis_change, ket_to_field, pump_state,
                             rotate_ket)
 from vecherald.polarimetry import stokes_of_field
-from vecherald.scenarios import (ScenarioConfig, _pump_ket, deformation_metric,
-                                 run_figure_suite, run_scenario)
+from vecherald.scenarios import (ScenarioConfig, _load_cases, _pump_ket,
+                                 deformation_metric, run_figure_suite, run_scenario)
 
 SMALL = {"grid": {"nx": 64, "ny": 64, "half_width": 4.0}}
 
@@ -181,6 +182,22 @@ def test_figure_suite_writes_artifacts(tmp_path):
         lines = fh.read().strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("label,")
+
+
+def test_figure_suite_bytes_independent_of_worker_count(tmp_path):
+    doc = _load_cases("fig2")
+    for case in doc["cases"]:
+        case.update(SMALL)
+    trees = []
+    for workers in (1, 2):
+        root = str(tmp_path / f"w{workers}")
+        run_figure_suite("fig2", root, workers=workers, cases_doc=doc)
+        trees.append((root, sorted(os.path.relpath(os.path.join(base, f), root)
+                                   for base, _, files in os.walk(root) for f in files)))
+    (a, names), (b, names_b) = trees
+    assert names == names_b and len(names) > 100
+    _, diff, funny = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert diff == [] and funny == []
 
 
 def test_figure_suite_unknown_id(tmp_path):
