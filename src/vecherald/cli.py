@@ -68,13 +68,14 @@ _SUBCOMMANDS = (
     ("herald", "full heralded-field run (requires herald label)", _SCHEMA, ()),
     ("polarimetry", "rotating-plate frames and Stokes maps", _SCHEMA, ()),
     ("topology", "singularity analysis of a run or Stokes export",
-     "either --config (runs the pipeline) or --stokes DIR\n"
+     "either --config/--set (runs the pipeline) or --stokes DIR\n"
      "(analyzes exported s0..s3.npy with their grid.json)\n" + _SCHEMA,
      (("--stokes", None,
        dict(help="directory holding s0.npy..s3.npy and grid.json")),)),
     ("scenario", "run one fully specified scenario", _SCHEMA, ()),
     ("suite", "run a whole figure suite", "figure ids: " + ", ".join(FIGURE_IDS),
-     (("figure", None, dict(choices=FIGURE_IDS)),)),
+     (("figure", None, dict(choices=FIGURE_IDS)),
+      ("--threads", None, dict(type=int, help="cap suite-level parallelism")))),
 )
 
 
@@ -96,13 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
             # a flag with choices lists them instead.
             metavar = None if "choices" in options else flag[2:].upper().replace("-", "_")
             p.add_argument(flag, dest=key, metavar=metavar, **options)
-        p.add_argument("--config", help="JSON config file (scenario schema)")
+        if name != "suite":  # a suite's cases are packaged; nothing configures them
+            p.add_argument("--config", help="JSON config file (scenario schema)")
+            p.add_argument("--set", dest="overrides", action="append", default=[],
+                           metavar="KEY=VALUE", help="dotted config override")
         p.add_argument("--out", help="output directory (default: "
                        "$VECHERALD_OUT_ROOT/<label> or runs/<label>)")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="dotted config override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap suite-level parallelism")
     return parser
 
 
@@ -162,9 +162,8 @@ def _run_topology_on_export(smap: StokesMap, stokes_dir: str, out_dir: str) -> N
     reports = find_singularities(smap)
     fileio.write_singularity_report(os.path.join(out_dir, "singularities.json"),
                                     reports)
-    lobes = s3_lobe_count(smap) if smap.grid.half_width > 1.2 else 0
     fileio.write_json(os.path.join(out_dir, "metrics.json"),
-                      {"n_singularities": len(reports), "s3_lobes": lobes})
+                      {"n_singularities": len(reports), "s3_lobes": s3_lobe_count(smap)})
     fileio.write_manifest(out_dir, {"stokes_dir": stokes_dir},
                           ["singularities.json", "metrics.json"])
 
@@ -184,15 +183,16 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if getattr(args, "stokes", None) and (args.config or args.overrides):
+            parser.error("topology --stokes takes no --config or --set")
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "suite":
-            label = args.figure
-            out_dir = _resolve_out(args, label)
+            if args.threads is not None and args.threads < 1:
+                raise ValueError(f"--threads must be at least 1, got {args.threads}")
+            out_dir = _resolve_out(args, args.figure)
             cfg = None
         elif args.command == "topology" and args.stokes:
             # An unreadable export is a bad input, rejected like a bad config.

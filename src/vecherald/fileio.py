@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -138,13 +138,13 @@ def read_biphoton(path: str) -> BiphotonKet:
 
 
 def write_frames(dir_path: str, frames: np.ndarray, angles: Sequence[float],
-                 grid: GridSpec, prefix: str = "frame") -> List[str]:
+                 grid: GridSpec) -> List[str]:
     """One matrix per analyzer angle, a frames.json angle manifest and grid.json."""
     if frames.shape[0] != len(angles):
         raise ValueError("one angle per frame required")
     names = []
     for i in range(frames.shape[0]):
-        name = f"{prefix}_{i:03d}.npy"
+        name = f"frame_{i:03d}.npy"
         write_matrix(os.path.join(dir_path, name), frames[i], grid)
         names.append(name)
     write_json(os.path.join(dir_path, "frames.json"),
@@ -246,8 +246,7 @@ def config_hash(config: Dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_manifest(dir_path: str, config: Dict, file_names: Iterable[str],
-                   extra: Optional[Dict] = None) -> str:
+def write_manifest(dir_path: str, config: Dict, file_names: Iterable[str]) -> str:
     """Run manifest: config echo, its hash, and hashes of every artifact.
 
     No timestamps or host details on purpose; two runs with the same config
@@ -259,8 +258,6 @@ def write_manifest(dir_path: str, config: Dict, file_names: Iterable[str],
         entries.append({"name": name, "bytes": os.path.getsize(full),
                         "sha256": sha256_of_file(full)})
     doc = {"config": config, "config_sha256": config_hash(config), "files": entries}
-    if extra:
-        doc.update(extra)
     path = os.path.join(dir_path, "manifest.json")
     write_json(path, doc)
     return path

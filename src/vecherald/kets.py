@@ -20,6 +20,7 @@ from .fields import (BASES, BASIS_PAIR, FROM_HV, TO_HV, GridSpec, VectorField,
                      apply_table, gaussian_helical_mode, lg_mode)
 
 _SQ2 = np.sqrt(2.0)
+BISECTION_STEPS = 60  # halvings per bisection in find_visibility_parameters
 
 # (H, V) components of each labeled polarization state: the columns of its
 # basis' TO_HV table.  complex() keeps the table's signed zeros.
@@ -98,9 +99,6 @@ class PolKet:
 
     def amplitude(self, pol: str, ell: int) -> complex:
         return self.terms.get((pol, int(ell)), 0j)
-
-    def ells(self) -> set:
-        return {ell for (_, ell) in self.terms}
 
     def __repr__(self):
         parts = [f"({pol},{ell}): {amp:.6g}"
@@ -217,6 +215,8 @@ class SpdcConfig:
             self.spectrum = {0: 1.0 + 0j}
         if not self.spectrum:
             raise ValueError("spectrum must contain at least one component")
+        if not all(np.isfinite(c) for c in self.spectrum.values()):
+            raise ValueError(f"spectrum amplitudes must be finite, got {self.spectrum}")
         total = np.sqrt(sum(abs(c) ** 2 for c in self.spectrum.values()))
         if total < 1e-15:
             raise ValueError("spectrum has zero total weight")
@@ -438,14 +438,14 @@ def visibility_in_basis(b: BiphotonKet, basis: str) -> float:
     return float(np.mean(vis))
 
 
-def find_visibility_parameters(target_hv: float, target_da: float,
-                               iterations: int = 60) -> Tuple[float, float]:
+def find_visibility_parameters(target_hv: float, target_da: float) -> Tuple[float, float]:
     """Bisect the dephasing and cross-talk knobs to hit target visibilities.
 
     Outer bisection runs on the dephasing against the diagonal-basis target;
-    for each trial the cross-talk is bisected against the H/V target.  The
-    targets are demonstration values, not derived quantities, so the only
-    guarantee is self-consistency of the returned pair.
+    for each trial the cross-talk is bisected against the H/V target, each
+    in BISECTION_STEPS halvings.  The targets are demonstration values, not
+    derived quantities, so the only guarantee is self-consistency of the
+    returned pair.
     """
     if not (0.0 < target_hv <= 1.0 and 0.0 < target_da <= 1.0):
         raise ValueError("targets must lie in (0, 1]")
@@ -454,7 +454,7 @@ def find_visibility_parameters(target_hv: float, target_da: float,
         lo, hi = 0.0, np.pi / 4
         if visibility_in_basis(degraded_bell_state(dephase, hi), "HV") > target_hv:
             return None
-        for _ in range(iterations):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             if visibility_in_basis(degraded_bell_state(dephase, mid), "HV") > target_hv:
                 lo = mid
@@ -463,7 +463,7 @@ def find_visibility_parameters(target_hv: float, target_da: float,
         return 0.5 * (lo + hi)
 
     lo, hi = 0.0, 0.5 * np.pi
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         cross = cross_for_hv(mid)
         if cross is None:

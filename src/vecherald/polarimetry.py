@@ -15,7 +15,7 @@ of the response matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ CLASS_RIGHT = 2
 CLASS_NAMES = {CLASS_LINEAR: "linear", CLASS_LEFT: "left", CLASS_RIGHT: "right"}
 
 _QUARTER_WAVE = 0.5 * np.pi
+BRIGHT_FRAC = 0.05  # bright pixels: S0 above this times the peak (bright_mask)
+LINEAR_FRAC = 0.1  # a pixel with |S3|/S0 at most this is linear
 
 
 def default_angles(n: int = 8) -> Tuple[float, ...]:
@@ -49,6 +51,8 @@ class PolarimeterConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        if not all(np.isfinite(self.angles)):
+            raise ValueError(f"angles must be finite, got {list(self.angles)}")
         if len(self.angles) < 4:
             raise ValueError("need at least 4 analyzer angles")
         if not (np.isfinite(self.noise_rms) and self.noise_rms >= 0):
@@ -99,10 +103,8 @@ def stokes_of_field(f: VectorField) -> StokesMap:
     return StokesMap(grid=f.grid, s0=s0, s1=s1, s2=s2, s3=s3)
 
 
-def simulate_frames(f: VectorField, cfg: Optional[PolarimeterConfig] = None) -> np.ndarray:
+def simulate_frames(f: VectorField, cfg: PolarimeterConfig) -> np.ndarray:
     """Stack of transmitted-intensity frames, one per analyzer angle."""
-    if cfg is None:
-        cfg = PolarimeterConfig()
     eh, ev = hv_arrays(f)
     frames = np.empty((len(cfg.angles), f.grid.ny, f.grid.nx), np.float64)
     beta = np.empty((f.grid.ny, f.grid.nx), np.float64)
@@ -116,10 +118,8 @@ def simulate_frames(f: VectorField, cfg: Optional[PolarimeterConfig] = None) -> 
     return frames
 
 
-def response_matrix(cfg: Optional[PolarimeterConfig] = None) -> np.ndarray:
+def response_matrix(cfg: PolarimeterConfig) -> np.ndarray:
     """Rows mapping (S0..S3) to transmitted intensity, one per angle."""
-    if cfg is None:
-        cfg = PolarimeterConfig()
     th = np.asarray(cfg.angles, float)
     c2 = np.cos(2 * th)
     s2 = np.sin(2 * th)
@@ -130,11 +130,9 @@ def response_matrix(cfg: Optional[PolarimeterConfig] = None) -> np.ndarray:
     return m
 
 
-def reconstruct_stokes(frames: np.ndarray, cfg: Optional[PolarimeterConfig],
+def reconstruct_stokes(frames: np.ndarray, cfg: PolarimeterConfig,
                        grid: GridSpec) -> StokesMap:
     """Per-pixel least-squares Stokes solve from a frame stack."""
-    if cfg is None:
-        cfg = PolarimeterConfig()
     frames = np.asarray(frames, np.float64)
     if frames.shape != (len(cfg.angles), grid.ny, grid.nx):
         raise ValueError(f"frame stack shape {frames.shape} does not match "
@@ -146,36 +144,39 @@ def reconstruct_stokes(frames: np.ndarray, cfg: Optional[PolarimeterConfig],
                      s2=sol[2].reshape(shape), s3=sol[3].reshape(shape))
 
 
-def ellipse_map(s: StokesMap, linear_threshold: float = 0.1,
-                intensity_threshold: float = 0.05) -> EllipseMap:
+def bright_mask(s: StokesMap) -> np.ndarray:
+    """Pixels whose S0 exceeds BRIGHT_FRAC times the peak."""
+    return s.s0 > BRIGHT_FRAC * s.s0.max()
+
+
+def ellipse_map(s: StokesMap) -> EllipseMap:
     """Ellipse parameters and tricolor handedness classes from a Stokes map.
 
-    Pixels with S0 below intensity_threshold times the peak are masked out;
-    a pixel is linear when |S3|/S0 stays below linear_threshold, otherwise
-    left- or right-handed by the sign of S3.
+    Pixels outside bright_mask are masked out; a pixel is linear when
+    |S3|/S0 stays within LINEAR_FRAC, otherwise left- or right-handed by the
+    sign of S3.
     """
-    if not (0 < linear_threshold < 1 and 0 < intensity_threshold < 1):
-        raise ValueError("thresholds must lie in (0, 1)")
-    mask = s.s0 > intensity_threshold * s.s0.max()
+    mask = bright_mask(s)
     psi = 0.5 * np.arctan2(s.s2, s.s1)
     psi = np.where(psi <= -0.5 * np.pi, psi + np.pi, psi)
     safe_s0 = np.where(mask, s.s0, 1.0)
     ratio = np.clip(s.s3 / safe_s0, -1.0, 1.0)
     chi = 0.5 * np.arcsin(ratio)
     handedness = np.full(s.s0.shape, CLASS_LINEAR, np.int8)
-    handedness[ratio > linear_threshold] = CLASS_LEFT
-    handedness[ratio < -linear_threshold] = CLASS_RIGHT
+    handedness[ratio > LINEAR_FRAC] = CLASS_LEFT
+    handedness[ratio < -LINEAR_FRAC] = CLASS_RIGHT
     return EllipseMap(grid=s.grid, psi=psi, chi=chi,
                       handedness=handedness, mask=mask)
 
 
-def stokes_homogeneity(s: StokesMap, intensity_threshold: float = 0.05) -> float:
+def stokes_homogeneity(s: StokesMap) -> float:
     """Spatial uniformity metric of the normalized polarization state.
 
     The maximum over S1/S0, S2/S0, S3/S0 of the standard deviation across
-    unmasked pixels; zero for a perfectly homogeneous polarization pattern.
+    the pixels of bright_mask; zero for a perfectly homogeneous polarization
+    pattern.
     """
-    mask = s.s0 > intensity_threshold * s.s0.max()
+    mask = bright_mask(s)
     if not mask.any():
         raise ValueError("intensity mask excludes every pixel")
     s0 = s.s0[mask]

@@ -12,7 +12,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .kets import (POL_LABELS, PolKet, PumpSpec, SpdcConfig, basis_change,
                    ket_to_field, project_idler_oam0, pump_state, spdc_state,
                    visibility_in_basis)
 from .polarimetry import (EllipseMap, PolarimeterConfig, StokesMap,
-                          ellipse_map, reconstruct_stokes, response_matrix,
-                          default_angles, simulate_frames, stokes_homogeneity,
-                          stokes_of_field)
+                          bright_mask, ellipse_map, reconstruct_stokes,
+                          response_matrix, default_angles, simulate_frames,
+                          stokes_homogeneity, stokes_of_field)
 from .qplate import plate_from_preset, qplate_apply_ket
 from .topology import (SingularityReport, find_singularities,
                        rotation_between, s3_lobe_count)
@@ -281,13 +281,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> Scenario
     em = ellipse_map(smap)
     singulars = find_singularities(smap)
     homog = stokes_homogeneity(smap)
-    lobes = s3_lobe_count(smap) if grid.half_width > 1.2 else 0
+    lobes = s3_lobe_count(smap)
 
     rotation = None
     if heralded is not None:
         try:
-            rotation = rotation_between(pump_stokes, smap,
-                                        r_max=min(2.0, 0.5 * grid.half_width))
+            rotation = rotation_between(pump_stokes, smap)
         except ValueError:
             rotation = None
 
@@ -351,13 +350,11 @@ def _write_scenario(res: ScenarioResult, out_dir: str) -> None:
     fileio.write_manifest(out_dir, cfg_doc, files)
 
 
-def deformation_metric(a: StokesMap, b: StokesMap,
-                       intensity_threshold: float = 0.05) -> float:
+def deformation_metric(a: StokesMap, b: StokesMap) -> float:
     """RMS distance between normalized Stokes vectors on the joint bright mask."""
     if a.grid != b.grid:
         raise ValueError("deformation requires a common grid")
-    mask = ((a.s0 > intensity_threshold * a.s0.max())
-            & (b.s0 > intensity_threshold * b.s0.max()))
+    mask = bright_mask(a) & bright_mask(b)
     if not mask.any():
         raise ValueError("no overlapping bright pixels")
     acc = 0.0

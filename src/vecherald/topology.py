@@ -18,6 +18,20 @@ import numpy as np
 from . import kernels
 from .polarimetry import StokesMap
 
+CANDIDATE_FRAC = 0.1  # candidates: hypot(S1, S2) under this times its peak
+MERGE_RADIUS = 0.3  # candidates closer than this are one point
+V_POINT_FRAC = 1e-2  # a point whose S0 is under this times the peak is a V-point
+INDEX_SAMPLES = 256  # samples on a winding-index loop
+RADIAL_SAMPLES = 1024  # samples on a radial-line loop
+LOBE_RADIUS = 1.0  # S3 lobes are counted on this circle about the axis,
+LOBE_MIN_HALF_WIDTH = 1.2  # and only in windows with a wider half-width
+LOBE_SAMPLES = 512  # samples on that circle
+# Rotation: ROTATION_RINGS rings from ROTATION_R_MIN out to min(ROTATION_R_MAX,
+# half the window), ROTATION_THETA samples each; the correlation is scanned at
+# ROTATION_SCAN angles, and maxima within ROTATION_TIE_TOL in magnitude tie.
+ROTATION_R_MIN, ROTATION_R_MAX, ROTATION_RINGS = 0.3, 2.0, 12
+ROTATION_THETA, ROTATION_SCAN, ROTATION_TIE_TOL = 512, 8192, 0.02
+
 
 @dataclass
 class SingularityReport:
@@ -51,19 +65,17 @@ def _check_loop(grid, center, radius):
 
 
 def disclination_index(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
-                       loop_radius: float = 1.0,
-                       n_samples: int = 256) -> Tuple[float, float]:
-    """Azimuth winding around a circular loop, snapped to half-integers.
+                       loop_radius: float = 1.0) -> Tuple[float, float]:
+    """Azimuth winding around a circular loop of INDEX_SAMPLES points, snapped
+    to half-integers.
 
     Returns (index, residual) where residual is the distance of the raw
     winding from the snapped value; residuals above roughly 0.1 signal an
     unreliable loop (masked data, loop through a singularity, undersampling).
     """
-    if n_samples < 64:
-        raise ValueError("use at least 64 loop samples")
     _check_loop(s.grid, center, loop_radius)
-    s1 = _ring_values(s.s1, s.grid, center, loop_radius, n_samples)
-    s2 = _ring_values(s.s2, s.grid, center, loop_radius, n_samples)
+    s1 = _ring_values(s.s1, s.grid, center, loop_radius, INDEX_SAMPLES)
+    s2 = _ring_values(s.s2, s.grid, center, loop_radius, INDEX_SAMPLES)
     psi = 0.5 * np.arctan2(s2, s1)
     d = np.diff(psi, append=psi[:1])
     d -= np.pi * np.round(d / np.pi)
@@ -81,16 +93,17 @@ def radial_line_count(index: float) -> int:
 
 
 def count_radial_lines(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
-                       loop_radius: float = 1.0, n_samples: int = 1024) -> int:
-    """Count azimuths on a loop where the ellipse azimuth is radial.
+                       loop_radius: float = 1.0) -> int:
+    """Count azimuths on a loop of RADIAL_SAMPLES points where the ellipse
+    azimuth is radial.
 
     A radial line crosses the loop where psi matches the loop azimuth modulo
     pi, i.e. where (S1 + iS2) e^{-2i theta} crosses the positive real axis.
     """
     _check_loop(s.grid, center, loop_radius)
-    th = np.arange(n_samples) * (2.0 * np.pi / n_samples)
-    w = (_ring_values(s.s1, s.grid, center, loop_radius, n_samples)
-         + 1j * _ring_values(s.s2, s.grid, center, loop_radius, n_samples))
+    th = np.arange(RADIAL_SAMPLES) * (2.0 * np.pi / RADIAL_SAMPLES)
+    w = (_ring_values(s.s1, s.grid, center, loop_radius, RADIAL_SAMPLES)
+         + 1j * _ring_values(s.s2, s.grid, center, loop_radius, RADIAL_SAMPLES))
     z = w * np.exp(-2j * th)
     peak = np.abs(z).max()
     if peak <= 0.0:
@@ -107,20 +120,20 @@ def count_radial_lines(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
     return int(np.count_nonzero(flips & re_ok))
 
 
-def s3_lobe_count(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
-                  loop_radius: float = 1.0, n_samples: int = 512) -> int:
-    """Number of sign lobes of S3 around a loop (0 when S3 stays one-signed)."""
-    _check_loop(s.grid, center, loop_radius)
-    v = _ring_values(s.s3, s.grid, center, loop_radius, n_samples)
-    s0 = _ring_values(s.s0, s.grid, center, loop_radius, n_samples)
+def s3_lobe_count(s: StokesMap) -> int:
+    """Number of sign lobes of S3 on the LOBE_RADIUS circle about the axis.
+
+    0 when S3 stays one-signed there, and 0 when the half-width is at most
+    LOBE_MIN_HALF_WIDTH, too narrow a window to hold the loop with a margin.
+    """
+    if s.grid.half_width <= LOBE_MIN_HALF_WIDTH:
+        return 0
+    v = _ring_values(s.s3, s.grid, (0.0, 0.0), LOBE_RADIUS, LOBE_SAMPLES)
+    s0 = _ring_values(s.s0, s.grid, (0.0, 0.0), LOBE_RADIUS, LOBE_SAMPLES)
     if np.abs(v).max() < 1e-9 * s0.max():
         return 0
     pos = v > 0
     return int(np.count_nonzero(pos != np.roll(pos, -1)))
-
-
-def lobe_label(count: int) -> str:
-    return {2: "bipolar", 4: "quadrupolar", 6: "hexapolar"}.get(count, f"{count}-lobed")
 
 
 def _azimuth_offset(s: StokesMap, center, loop_radius: float, n: int = 512) -> float:
@@ -132,13 +145,13 @@ def _azimuth_offset(s: StokesMap, center, loop_radius: float, n: int = 512) -> f
     return 0.5 * float(np.angle(z.sum()))
 
 
-def classify(report: SingularityReport, s: Optional[StokesMap] = None) -> str:
+def classify(report: SingularityReport, s: StokesMap) -> str:
     """Topological class label of a detected singularity.
 
     V-points are labeled by their order.  C-points follow the index: +1/2
     lemon, -1/2 star, at or beyond +-3/2 hyperlemon/hyperstar, -1 hyperstar.
-    Unit index has no discrete radial-line structure; with a map available it
-    is split into radial, azimuthal, or spiral by the mean azimuth offset.
+    Unit index has no discrete radial-line structure; it is split into
+    radial, azimuthal, or spiral by the mean azimuth offset on the map s.
     """
     if report.kind == "V-point":
         return f"V-point(order {report.index:g})"
@@ -152,8 +165,6 @@ def classify(report: SingularityReport, s: Optional[StokesMap] = None) -> str:
     if idx <= -1.0:
         return "hyperstar"
     if idx == 1.0:
-        if s is None:
-            return "unit-index"
         off = _azimuth_offset(s, report.location, report.loop_radius)
         if abs(off) < 0.15:
             return "radial"
@@ -269,17 +280,13 @@ def _component_centroids(mask: np.ndarray, x_axis: np.ndarray,
                             np.bincount(label, y_axis[iy]) / count])
 
 
-def find_singularities(s: StokesMap, threshold: float = 0.1,
-                       min_separation: float = 0.3,
-                       loop_radius: Optional[float] = None,
-                       n_loop: int = 256,
-                       v_intensity_frac: float = 1e-2) -> List[SingularityReport]:
+def find_singularities(s: StokesMap) -> List[SingularityReport]:
     """Locate points where the linear Stokes pair (S1, S2) vanishes.
 
-    Candidate pixels with hypot(S1, S2) under threshold times its peak are
-    grouped into 4-connected components by run-length labeling; component
+    Candidate pixels with hypot(S1, S2) under CANDIDATE_FRAC times its peak
+    are grouped into 4-connected components by run-length labeling; component
     centroids (raster-order means of the pixel coordinates) are merged within
-    min_separation, refined to subpixel zeros, merged again, and kept when
+    MERGE_RADIUS, refined to subpixel zeros, merged again, and kept when
     the loop winding around them is nonzero.  Points sitting on an
     intensity null are V-points; the loop there is pushed out to the
     half-maximum radius of S0.  Homogeneous maps return an empty list.
@@ -290,15 +297,15 @@ def find_singularities(s: StokesMap, threshold: float = 0.1,
     out: List[SingularityReport] = []
     if umax <= 0:
         return out
-    cand = u < threshold * umax
+    cand = u < CANDIDATE_FRAC * umax
     cand[:2, :] = False
     cand[-2:, :] = False
     cand[:, :2] = False
     cand[:, -2:] = False
     centroids = _component_centroids(cand, g.x_axis(), g.y_axis())
-    refined = [_refine_zero(s, x, y) for x, y in _merge_close(centroids, min_separation)]
+    refined = [_refine_zero(s, x, y) for x, y in _merge_close(centroids, MERGE_RADIUS)]
     s0max = s.s0.max()
-    for x, y in sorted(_merge_close(refined, min_separation)):
+    for x, y in sorted(_merge_close(refined, MERGE_RADIUS)):
         s0_here = float(kernels.bilinear_sample(
             s.s0, np.array([x]), np.array([y]),
             -g.half_width, -g.half_width, g.pitch_x, g.pitch_y)[0])
@@ -306,18 +313,16 @@ def find_singularities(s: StokesMap, threshold: float = 0.1,
         # intensity null; an absolute floor alone fails on coarse grids.
         probe = min(0.35, 0.5 * g.half_width)
         ring_mean = float(_ring_values(s.s0, g, (x, y), probe, 64).mean())
-        kind = "V-point" if (s0_here < v_intensity_frac * s0max
+        kind = "V-point" if (s0_here < V_POINT_FRAC * s0max
                              or s0_here < 0.05 * ring_mean) else "C-point"
-        if loop_radius is not None:
-            r = loop_radius
-        elif kind == "V-point":
+        if kind == "V-point":
             r = _half_max_radius(s, (x, y), g)
         else:
             r = 0.25
         r = min(r, g.half_width - max(abs(x), abs(y)) - 3 * max(g.pitch_x, g.pitch_y))
         if r <= 0:
             continue
-        idx, res = disclination_index(s, (x, y), r, n_loop)
+        idx, res = disclination_index(s, (x, y), r)
         if abs(idx) < 0.25:
             continue
         try:
@@ -333,13 +338,12 @@ def find_singularities(s: StokesMap, threshold: float = 0.1,
     return out
 
 
-def rotation_between(a: StokesMap, b: StokesMap, r_min: float = 0.3,
-                     r_max: float = 2.0, n_rings: int = 12, n_theta: int = 512,
-                     n_scan: int = 8192, tie_tol: float = 0.02) -> float:
+def rotation_between(a: StokesMap, b: StokesMap) -> float:
     """Rigid rotation angle carrying pattern a onto pattern b, in (-pi, pi].
 
-    The linear Stokes pair is sampled on concentric rings; under a rotation
-    by rho the complex azimuth variable W = S1 + iS2 obeys
+    The linear Stokes pair is sampled on concentric rings inside half the
+    window (see the ROTATION_* constants); under a rotation by rho the
+    complex azimuth variable W = S1 + iS2 obeys
     W_b(theta) = W_a(theta - rho) * e^{2i rho}, so the match quality is the
     real part of e^{-2i rho} times the angular cross-correlation, evaluated
     exactly as a trigonometric polynomial on a fine scan grid.  Among
@@ -348,24 +352,23 @@ def rotation_between(a: StokesMap, b: StokesMap, r_min: float = 0.3,
     """
     if a.grid != b.grid:
         raise ValueError("rotation estimation requires a common grid")
-    if r_max >= a.grid.half_width:
-        raise ValueError("outer ring leaves the sampling window")
-    cross = np.zeros(n_theta, np.complex128)
+    r_max = min(ROTATION_R_MAX, 0.5 * a.grid.half_width)
+    cross = np.zeros(ROTATION_THETA, np.complex128)
     power_a = power_b = 0.0
-    for r in np.linspace(r_min, r_max, n_rings):
-        wa = (_ring_values(a.s1, a.grid, (0.0, 0.0), r, n_theta)
-              + 1j * _ring_values(a.s2, a.grid, (0.0, 0.0), r, n_theta))
-        wb = (_ring_values(b.s1, b.grid, (0.0, 0.0), r, n_theta)
-              + 1j * _ring_values(b.s2, b.grid, (0.0, 0.0), r, n_theta))
+    for r in np.linspace(ROTATION_R_MIN, r_max, ROTATION_RINGS):
+        wa = (_ring_values(a.s1, a.grid, (0.0, 0.0), r, ROTATION_THETA)
+              + 1j * _ring_values(a.s2, a.grid, (0.0, 0.0), r, ROTATION_THETA))
+        wb = (_ring_values(b.s1, b.grid, (0.0, 0.0), r, ROTATION_THETA)
+              + 1j * _ring_values(b.s2, b.grid, (0.0, 0.0), r, ROTATION_THETA))
         fa, fb = np.fft.fft(wa), np.fft.fft(wb)
         cross += np.conj(fa) * fb
         power_a += float(np.sum(np.abs(fa) ** 2))
         power_b += float(np.sum(np.abs(fb) ** 2))
-    freqs = np.rint(np.fft.fftfreq(n_theta, 1.0 / n_theta)).astype(int)
-    big = np.zeros(n_scan, np.complex128)
-    big[freqs % n_scan] = cross
-    rho = 2.0 * np.pi * np.arange(n_scan) / n_scan
-    corr = np.real(np.exp(-2j * rho) * np.fft.ifft(big) * n_scan)
+    freqs = np.rint(np.fft.fftfreq(ROTATION_THETA, 1.0 / ROTATION_THETA)).astype(int)
+    big = np.zeros(ROTATION_SCAN, np.complex128)
+    big[freqs % ROTATION_SCAN] = cross
+    rho = 2.0 * np.pi * np.arange(ROTATION_SCAN) / ROTATION_SCAN
+    corr = np.real(np.exp(-2j * rho) * np.fft.ifft(big) * ROTATION_SCAN)
     # Cauchy-Schwarz bound: a rigidly rotated copy correlates at exactly 1.
     denom = np.sqrt(power_a * power_b)
     if denom <= 0 or corr.max() < 0.2 * denom:
@@ -375,15 +378,15 @@ def rotation_between(a: StokesMap, b: StokesMap, r_min: float = 0.3,
     is_max = (corr >= np.roll(corr, 1)) & (corr > np.roll(corr, -1))
     keep = is_max & (corr >= corr.max() - 0.01 * span)
     cands = []
-    step = 2.0 * np.pi / n_scan
+    step = 2.0 * np.pi / ROTATION_SCAN
     for k in np.nonzero(keep)[0]:
-        y0, y1, y2 = corr[k - 1], corr[k], corr[(k + 1) % n_scan]
+        y0, y1, y2 = corr[k - 1], corr[k], corr[(k + 1) % ROTATION_SCAN]
         denom = y0 - 2.0 * y1 + y2
         shift = 0.5 * (y0 - y2) / denom if abs(denom) > 0 else 0.0
         ang = rho[k] + np.clip(shift, -0.5, 0.5) * step
         ang = (ang + np.pi) % (2.0 * np.pi) - np.pi
         cands.append(float(ang))
     m0 = min(abs(c) for c in cands)
-    close = [c for c in cands if abs(c) <= m0 + tie_tol]
+    close = [c for c in cands if abs(c) <= m0 + ROTATION_TIE_TOL]
     pos = [c for c in close if c >= -1e-12]
     return min(pos, key=abs) if pos else min(close, key=abs)

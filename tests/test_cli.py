@@ -73,7 +73,9 @@ def test_unknown_key_exits_three(tmp_path, capsys):
                                       'spdc.spectrum={"0":[1]}',
                                       "spdc.spectrum=[1]",
                                       'qplate=["charge"]',
-                                      "polarimeter.seed=-1"])
+                                      "polarimeter.seed=-1",
+                                      'spdc.spectrum={"0":[NaN,0]}',
+                                      "polarimeter.angles=[0,0.4,0.8,Infinity]"])
 def test_invalid_value_exits_three_before_compute(tmp_path, capsys, override):
     out = tmp_path / "run"
     code = parse_and_dispatch(["herald", "--set", "herald=A", "--set", override,
@@ -228,6 +230,20 @@ def test_threads_below_one_exits_three(tmp_path, capsys, threads):
     assert parse_and_dispatch(["suite", "fig2", "--threads", threads,
                                "--out", str(out)]) == 3
     assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["pump", "--threads", "4"],
+    ["suite", "correlations", "--set", "grid.nx=32"],
+    ["suite", "correlations", "--config", "missing.json"],
+    ["topology", "--stokes", "missing", "--config", "missing.json"],
+    ["topology", "--stokes", "missing", "--set", "grid.nx=32"],
+], ids=["pump-threads", "suite-set", "suite-config", "stokes-config", "stokes-set"])
+def test_option_outside_its_subcommand_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert parse_and_dispatch(args + ["--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 
