@@ -6,10 +6,18 @@ accumulated around discretized circular loops with bilinear sampling.
 Singularity candidates are found with numpy only: pixels where the linear
 Stokes pair is small are grouped by run-length component labeling, and each
 component's centroid is the raster-order mean of its pixel coordinates.
+
+The loop measurements (winding index, radial lines, half-maximum radius) take
+(m, 1) columns of loop centres and radii and return one value per point, so
+the detector runs each stage as one array pass over all its points; the
+public single-loop functions are one-row calls of the same bodies.  Rows are
+sampled in blocks of at most nx * ny samples per bilinear_sample call, so no
+temporary outgrows one map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -57,11 +65,47 @@ def _ring_values(arr: np.ndarray, grid, center, radius, n: int) -> np.ndarray:
                                    grid.pitch_x, grid.pitch_y)
 
 
+def _in_blocks(grid, samples: int, rows, *cols) -> List[np.ndarray]:
+    """rows(*cols) evaluated on blocks of rows, `samples` ring samples per row.
+
+    A block holds at most nx * ny samples (one row at least), so no temporary
+    outgrows one map, and its temporaries die before the next block is
+    sampled.  rows returns a tuple of per-row arrays; each is joined back in
+    row order.  No rows still make one empty block.
+    """
+    step = max(1, grid.nx * grid.ny // samples)
+    parts = [rows(*(c[i:i + step] for c in cols))
+             for i in range(0, max(len(cols[0]), 1), step)]
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
+def _one_row(*values) -> List[np.ndarray]:
+    """Single-point arguments as the (1, 1) columns the row bodies take."""
+    return [np.full((1, 1), v, np.float64) for v in values]
+
+
 def _check_loop(grid, center, radius):
     if radius <= 0:
         raise ValueError("loop radius must be positive")
     if max(abs(center[0]), abs(center[1])) + radius > grid.half_width:
         raise ValueError("loop leaves the sampling window")
+
+
+def _windings(s: StokesMap, cx: np.ndarray, cy: np.ndarray,
+              r: np.ndarray) -> List[np.ndarray]:
+    """Snapped azimuth winding and residual on one INDEX_SAMPLES loop per row
+    of the centre and radius columns (see disclination_index)."""
+    def rows(cx, cy, r):
+        s1 = _ring_values(s.s1, s.grid, (cx, cy), r, INDEX_SAMPLES)
+        s2 = _ring_values(s.s2, s.grid, (cx, cy), r, INDEX_SAMPLES)
+        psi = 0.5 * np.arctan2(s2, s1)
+        d = np.diff(psi, axis=1, append=psi[:, :1])
+        d -= np.pi * np.round(d / np.pi)
+        raw = d.sum(axis=1) / (2.0 * np.pi)
+        # + 0.0 turns np.round's -0.0 into the +0.0 of a zero index
+        snapped = np.round(2.0 * raw) / 2.0 + 0.0
+        return snapped, np.abs(raw - snapped)
+    return _in_blocks(s.grid, INDEX_SAMPLES, rows, cx, cy, r)
 
 
 def disclination_index(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
@@ -74,14 +118,8 @@ def disclination_index(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
     unreliable loop (masked data, loop through a singularity, undersampling).
     """
     _check_loop(s.grid, center, loop_radius)
-    s1 = _ring_values(s.s1, s.grid, center, loop_radius, INDEX_SAMPLES)
-    s2 = _ring_values(s.s2, s.grid, center, loop_radius, INDEX_SAMPLES)
-    psi = 0.5 * np.arctan2(s2, s1)
-    d = np.diff(psi, append=psi[:1])
-    d -= np.pi * np.round(d / np.pi)
-    raw = float(d.sum() / (2.0 * np.pi))
-    snapped = round(2.0 * raw) / 2.0
-    return snapped, abs(raw - snapped)
+    idx, res = _windings(s, *_one_row(center[0], center[1], loop_radius))
+    return float(idx[0]), float(res[0])
 
 
 def radial_line_count(index: float) -> int:
@@ -90,6 +128,37 @@ def radial_line_count(index: float) -> int:
         raise ValueError("a unit-index pattern is rotation symmetric; it has no "
                          "discrete radial-line count")
     return int(round(2.0 * abs(index - 1.0)))
+
+
+def _radial_lines(s: StokesMap, cx: np.ndarray, cy: np.ndarray,
+                  r: np.ndarray) -> List[np.ndarray]:
+    """Radial-line count on one RADIAL_SAMPLES loop per row of the centre and
+    radius columns, with the rows that have no count: [lines, dark,
+    clustered] (see count_radial_lines)."""
+    th = np.arange(RADIAL_SAMPLES) * (2.0 * np.pi / RADIAL_SAMPLES)
+    turn = np.exp(-2j * th)
+
+    def rows(cx, cy, r):
+        z = (_ring_values(s.s1, s.grid, (cx, cy), r, RADIAL_SAMPLES)
+             + 1j * _ring_values(s.s2, s.grid, (cx, cy), r, RADIAL_SAMPLES)) * turn
+        peak = np.abs(z).max(axis=1)
+        live = np.abs(z) > 1e-12 * peak[:, None]
+        # a unit-index pattern keeps psi - theta constant: its phasors cluster
+        # in one direction (up to sampling noise) and crossings are not
+        # discrete.  The mean runs over each row's live samples; rows with a
+        # dead sample (rare: exact zeros of S1 and S2) take their own pass.
+        full = live.all(axis=1)
+        clustered = np.zeros(len(z), bool)
+        zf = z[full]
+        clustered[full] = np.abs(np.mean(zf / np.abs(zf), axis=1)) > 0.9
+        for i in np.flatnonzero(~full & (peak > 0.0)):
+            zl = z[i][live[i]]
+            clustered[i] = np.abs(np.mean(zl / np.abs(zl))) > 0.9
+        pos = z.imag > 0
+        flips = pos != np.roll(pos, -1, axis=1)
+        re_ok = (z.real + np.roll(z.real, -1, axis=1)) > 0
+        return np.count_nonzero(flips & re_ok, axis=1), peak <= 0.0, clustered
+    return _in_blocks(s.grid, RADIAL_SAMPLES, rows, cx, cy, r)
 
 
 def count_radial_lines(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
@@ -101,23 +170,13 @@ def count_radial_lines(s: StokesMap, center: Tuple[float, float] = (0.0, 0.0),
     pi, i.e. where (S1 + iS2) e^{-2i theta} crosses the positive real axis.
     """
     _check_loop(s.grid, center, loop_radius)
-    th = np.arange(RADIAL_SAMPLES) * (2.0 * np.pi / RADIAL_SAMPLES)
-    w = (_ring_values(s.s1, s.grid, center, loop_radius, RADIAL_SAMPLES)
-         + 1j * _ring_values(s.s2, s.grid, center, loop_radius, RADIAL_SAMPLES))
-    z = w * np.exp(-2j * th)
-    peak = np.abs(z).max()
-    if peak <= 0.0:
+    lines, dark, clustered = _radial_lines(s, *_one_row(center[0], center[1], loop_radius))
+    if dark[0]:
         raise ValueError("no linear polarization signal on the loop")
-    live = np.abs(z) > 1e-12 * peak
-    # a unit-index pattern keeps psi - theta constant: its phasors cluster in
-    # one direction (up to sampling noise) and crossings are not discrete
-    if np.abs(np.mean(z[live] / np.abs(z[live]))) > 0.9:
+    if clustered[0]:
         raise ValueError("azimuth keeps a fixed angle to the loop azimuth; "
                          "radial lines are not discrete here")
-    pos = z.imag > 0
-    flips = pos != np.roll(pos, -1)
-    re_ok = (z.real + np.roll(z.real, -1)) > 0
-    return int(np.count_nonzero(flips & re_ok))
+    return int(lines[0])
 
 
 def s3_lobe_count(s: StokesMap) -> int:
@@ -177,34 +236,75 @@ def classify(report: SingularityReport, s: StokesMap) -> str:
 def _merge_close(points: Sequence[Tuple[float, float]],
                  min_sep: float) -> List[Tuple[float, float]]:
     """Greedy clustering: each point joins the first cluster whose running mean
-    lies within min_sep, else it opens a new cluster.  Returns cluster means."""
-    sx, sy, cnt = (np.empty(len(points)) for _ in range(3))
-    k = 0
-    for x, y in points:
-        hit = np.flatnonzero(np.hypot(sx[:k] / cnt[:k] - x, sy[:k] / cnt[:k] - y) < min_sep)
-        if hit.size:
-            j = hit[0]
-            sx[j] += x
-            sy[j] += y
-            cnt[j] += 1
-        else:
-            sx[k], sy[k], cnt[k] = x, y, 1
-            k += 1
-    return list(zip((sx[:k] / cnt[:k]).tolist(), (sy[:k] / cnt[:k]).tolist()))
+    lies within min_sep, else it opens a new cluster.  Returns cluster means.
+
+    Only clusters whose mean lies in the 3x3 cells around the point's cell
+    are tested, on a hash grid whose edge is a little over min_sep, so no
+    rounding in the cell division can put a match further away.
+    """
+    edge = 1.01 * min_sep
+    # Squared distances clear of min_sep by far more than rounding decide
+    # alone; the rest take the exact hypot test.
+    near, far = (min_sep * (1.0 - 1e-9)) ** 2, (min_sep * (1.0 + 1e-9)) ** 2
+    sx: List[float] = []
+    sy: List[float] = []
+    cnt: List[int] = []
+    mx: List[float] = []  # running means, sx / cnt
+    my: List[float] = []
+    home: List[Tuple[int, int]] = []  # the cell of each running mean
+    around = {}  # cell -> ids of the clusters whose mean lies in its 3x3 block
+
+    def block(c):
+        return [(c[0] + i, c[1] + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+
+    for row in np.reshape(points, (-1, 2)):
+        x, y = row.tolist()  # row by row: a list of all points outlives the loop
+        c = (math.floor(x / edge), math.floor(y / edge))
+        hit = None
+        for k in around.get(c, ()):
+            if hit is None or k < hit:
+                dx, dy = mx[k] - x, my[k] - y
+                d2 = dx * dx + dy * dy
+                if d2 < near or (d2 < far and np.hypot(dx, dy) < min_sep):
+                    hit = k
+        if hit is None:
+            for b in block(c):
+                around.setdefault(b, []).append(len(cnt))
+            sx.append(x)
+            sy.append(y)
+            cnt.append(1)
+            mx.append(x)
+            my.append(y)
+            home.append(c)
+            continue
+        sx[hit] += x
+        sy[hit] += y
+        cnt[hit] += 1
+        mx[hit], my[hit] = sx[hit] / cnt[hit], sy[hit] / cnt[hit]
+        c = (math.floor(mx[hit] / edge), math.floor(my[hit] / edge))
+        if c != home[hit]:
+            for b in block(home[hit]):
+                around[b].remove(hit)
+            for b in block(c):
+                around.setdefault(b, []).append(hit)
+            home[hit] = c
+    return list(zip(mx, my))
 
 
-def _refine_zero(s: StokesMap, x: float, y: float) -> Tuple[float, float]:
-    """Subpixel zero of (S1, S2) by local plane fits around the nearest pixel."""
+def _refine_zero(s: StokesMap, x_axis: np.ndarray, y_axis: np.ndarray,
+                 x: float, y: float) -> Tuple[float, float]:
+    """Subpixel zero of (S1, S2) by local plane fits around the nearest pixel;
+    x_axis and y_axis are the grid's axes."""
     g = s.grid
     ix = int(round((x + g.half_width) / g.pitch_x))
     iy = int(round((y + g.half_width) / g.pitch_y))
     k = 2
     if not (k <= ix < g.nx - k and k <= iy < g.ny - k):
         return x, y
-    xs = g.x_axis()[ix - k: ix + k + 1]
-    ys = g.y_axis()[iy - k: iy + k + 1]
-    xg, yg = np.meshgrid(xs, ys)
-    a = np.column_stack([np.ones(xg.size), xg.ravel(), yg.ravel()])
+    xs = x_axis[ix - k: ix + k + 1]
+    ys = y_axis[iy - k: iy + k + 1]
+    # the raveled meshgrid of the window: x runs fastest
+    a = np.column_stack([np.ones(xs.size * ys.size), np.tile(xs, ys.size), np.repeat(ys, xs.size)])
     c1, *_ = np.linalg.lstsq(a, s.s1[iy - k: iy + k + 1, ix - k: ix + k + 1].ravel(), rcond=None)
     c2, *_ = np.linalg.lstsq(a, s.s2[iy - k: iy + k + 1, ix - k: ix + k + 1].ravel(), rcond=None)
     m = np.array([[c1[1], c1[2]], [c2[1], c2[2]]])
@@ -215,16 +315,22 @@ def _refine_zero(s: StokesMap, x: float, y: float) -> Tuple[float, float]:
     return x, y
 
 
+def _half_max_radii(s: StokesMap, grid, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Loop radius for a dark-core singularity at each row of the centre
+    columns: where ring-mean S0 reaches half max (see _half_max_radius)."""
+    radii = np.linspace(0.1, 0.7 * grid.half_width, 30)
+    (means,) = _in_blocks(grid, radii.size * 128, lambda cx, cy: (_ring_values(
+        s.s0, grid, (cx[:, :, None], cy[:, :, None]), radii[:, None], 128).mean(axis=2),), cx, cy)
+    peak = means.argmax(axis=1)
+    half = 0.5 * means[np.arange(len(means)), peak]
+    # the first radius up to the peak whose mean reaches half; else the peak
+    ok = (means >= half[:, None]) & (np.arange(radii.size) <= peak[:, None])
+    return radii[np.where(ok.any(axis=1), ok.argmax(axis=1), peak)]
+
+
 def _half_max_radius(s: StokesMap, center, grid) -> float:
     """Loop radius for a dark-core singularity: where ring-mean S0 reaches half max."""
-    radii = np.linspace(0.1, 0.7 * grid.half_width, 30)
-    means = _ring_values(s.s0, grid, center, radii[:, None], 128).mean(axis=1)
-    peak = means.argmax()
-    half = 0.5 * means[peak]
-    for r, m in zip(radii[:peak + 1], means[:peak + 1]):
-        if m >= half:
-            return float(r)
-    return float(radii[peak])
+    return float(_half_max_radii(s, grid, *_one_row(center[0], center[1]))[0])
 
 
 def _run_labels(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -286,10 +392,19 @@ def find_singularities(s: StokesMap) -> List[SingularityReport]:
     Candidate pixels with hypot(S1, S2) under CANDIDATE_FRAC times its peak
     are grouped into 4-connected components by run-length labeling; component
     centroids (raster-order means of the pixel coordinates) are merged within
-    MERGE_RADIUS, refined to subpixel zeros, merged again, and kept when
-    the loop winding around them is nonzero.  Points sitting on an
-    intensity null are V-points; the loop there is pushed out to the
-    half-maximum radius of S0.  Homogeneous maps return an empty list.
+    MERGE_RADIUS, refined to subpixel zeros and merged again.  The merged
+    points then pass through the stages below, each one array pass over all
+    points still kept:
+
+    1. V-point test: a point sitting on an intensity null (S0 there against
+       the map peak and against a probe ring around it) is a V-point;
+    2. loop radius: the half-maximum radius of S0 for V-points, 0.25 for
+       C-points, clamped to the window; points left with no radius drop out;
+    3. winding index on that loop; points with |index| < 1/4 drop out;
+    4. radial lines for every index but 1;
+    5. the class label (per point: only unit-index points sample again).
+
+    Homogeneous maps return an empty list.
     """
     g = s.grid
     u = np.hypot(s.s1, s.s2)
@@ -302,37 +417,38 @@ def find_singularities(s: StokesMap) -> List[SingularityReport]:
     cand[-2:, :] = False
     cand[:, :2] = False
     cand[:, -2:] = False
-    centroids = _component_centroids(cand, g.x_axis(), g.y_axis())
-    refined = [_refine_zero(s, x, y) for x, y in _merge_close(centroids, MERGE_RADIUS)]
-    s0max = s.s0.max()
-    for x, y in sorted(_merge_close(refined, MERGE_RADIUS)):
-        s0_here = float(kernels.bilinear_sample(
-            s.s0, np.array([x]), np.array([y]),
-            -g.half_width, -g.half_width, g.pitch_x, g.pitch_y)[0])
-        # Dark relative to its own immediate surroundings marks a full
-        # intensity null; an absolute floor alone fails on coarse grids.
-        probe = min(0.35, 0.5 * g.half_width)
-        ring_mean = float(_ring_values(s.s0, g, (x, y), probe, 64).mean())
-        kind = "V-point" if (s0_here < V_POINT_FRAC * s0max
-                             or s0_here < 0.05 * ring_mean) else "C-point"
-        if kind == "V-point":
-            r = _half_max_radius(s, (x, y), g)
-        else:
-            r = 0.25
-        r = min(r, g.half_width - max(abs(x), abs(y)) - 3 * max(g.pitch_x, g.pitch_y))
-        if r <= 0:
-            continue
-        idx, res = disclination_index(s, (x, y), r)
-        if abs(idx) < 0.25:
-            continue
-        try:
-            lines = None if abs(idx - 1.0) < 1e-9 else count_radial_lines(s, (x, y), r)
-        except ValueError:
-            lines = None
-        rep = SingularityReport(location=(x, y), kind=kind, index=idx,
-                                raw_index=idx + (res if idx >= 0 else -res),
-                                residual=res, label="", loop_radius=r,
-                                radial_lines=lines)
+    x_axis, y_axis = g.x_axis(), g.y_axis()
+    centroids = _component_centroids(cand, x_axis, y_axis)
+    refined = [_refine_zero(s, x_axis, y_axis, x, y)
+               for x, y in _merge_close(centroids, MERGE_RADIUS)]
+    xy = np.reshape(sorted(_merge_close(refined, MERGE_RADIUS)), (-1, 2))
+    x, y = xy[:, :1], xy[:, 1:]  # columns: one row per point
+    # Dark relative to its own immediate surroundings marks a full intensity
+    # null; an absolute floor alone fails on coarse grids.
+    s0_here = kernels.bilinear_sample(s.s0, x, y, -g.half_width, -g.half_width,
+                                      g.pitch_x, g.pitch_y)
+    probe = min(0.35, 0.5 * g.half_width)
+    (ring_mean,) = _in_blocks(g, 64, lambda x, y: (
+        _ring_values(s.s0, g, (x, y), probe, 64).mean(axis=1, keepdims=True),), x, y)
+    v_point = ((s0_here < V_POINT_FRAC * s.s0.max()) | (s0_here < 0.05 * ring_mean))[:, 0]
+    r = np.full(len(xy), 0.25)
+    r[v_point] = _half_max_radii(s, g, x[v_point], y[v_point])
+    r = np.minimum(r, g.half_width - np.abs(xy).max(axis=1) - 3 * max(g.pitch_x, g.pitch_y))
+    keep = r > 0
+    xy, r, v_point = xy[keep], r[keep], v_point[keep]
+    idx, res = _windings(s, xy[:, :1], xy[:, 1:], r[:, None])
+    keep = np.abs(idx) >= 0.25
+    xy, r, v_point, idx, res = xy[keep], r[keep], v_point[keep], idx[keep], res[keep]
+    multi = np.abs(idx - 1.0) >= 1e-9
+    counts, dark, clustered = _radial_lines(s, xy[multi, :1], xy[multi, 1:], r[multi, None])
+    lines = np.full(len(idx), -1)  # -1: no radial-line count
+    lines[multi] = np.where(dark | clustered, -1, counts)
+    for loc, v, i, e, rad, n in zip(xy.tolist(), v_point.tolist(), idx.tolist(),
+                                    res.tolist(), r.tolist(), lines.tolist()):
+        rep = SingularityReport(location=tuple(loc), kind="V-point" if v else "C-point",
+                                index=i, raw_index=i + (e if i >= 0 else -e),
+                                residual=e, label="", loop_radius=rad,
+                                radial_lines=None if n < 0 else n)
         rep.label = classify(rep, s)
         out.append(rep)
     return out
@@ -352,18 +468,20 @@ def rotation_between(a: StokesMap, b: StokesMap) -> float:
     """
     if a.grid != b.grid:
         raise ValueError("rotation estimation requires a common grid")
+    if 0.5 * a.grid.half_width < ROTATION_R_MIN:
+        raise ValueError("the window is too narrow for the rotation rings: "
+                         f"half its half-width is under {ROTATION_R_MIN}")
     r_max = min(ROTATION_R_MAX, 0.5 * a.grid.half_width)
+    radii = np.linspace(ROTATION_R_MIN, r_max, ROTATION_RINGS)[:, None]
+    fa, fb = (np.fft.fft(_ring_values(m.s1, m.grid, (0.0, 0.0), radii, ROTATION_THETA)
+                         + 1j * _ring_values(m.s2, m.grid, (0.0, 0.0), radii, ROTATION_THETA),
+                         axis=1) for m in (a, b))
+    # ring by ring, in the order of the radii
     cross = np.zeros(ROTATION_THETA, np.complex128)
-    power_a = power_b = 0.0
-    for r in np.linspace(ROTATION_R_MIN, r_max, ROTATION_RINGS):
-        wa = (_ring_values(a.s1, a.grid, (0.0, 0.0), r, ROTATION_THETA)
-              + 1j * _ring_values(a.s2, a.grid, (0.0, 0.0), r, ROTATION_THETA))
-        wb = (_ring_values(b.s1, b.grid, (0.0, 0.0), r, ROTATION_THETA)
-              + 1j * _ring_values(b.s2, b.grid, (0.0, 0.0), r, ROTATION_THETA))
-        fa, fb = np.fft.fft(wa), np.fft.fft(wb)
-        cross += np.conj(fa) * fb
-        power_a += float(np.sum(np.abs(fa) ** 2))
-        power_b += float(np.sum(np.abs(fb) ** 2))
+    for row in np.conj(fa) * fb:
+        cross += row
+    power_a = sum(np.sum(np.abs(fa) ** 2, axis=1).tolist())
+    power_b = sum(np.sum(np.abs(fb) ** 2, axis=1).tolist())
     freqs = np.rint(np.fft.fftfreq(ROTATION_THETA, 1.0 / ROTATION_THETA)).astype(int)
     big = np.zeros(ROTATION_SCAN, np.complex128)
     big[freqs % ROTATION_SCAN] = cross

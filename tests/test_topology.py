@@ -1,8 +1,10 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
+from vecherald import kernels
 from vecherald.fields import make_grid
 from vecherald.kets import (PolKet, PumpSpec, herald, ket_to_field,
                             project_idler_oam0, pump_state, rotate_ket,
@@ -10,11 +12,15 @@ from vecherald.kets import (PolKet, PumpSpec, herald, ket_to_field,
 from vecherald.polarimetry import (PolarimeterConfig, StokesMap,
                                    reconstruct_stokes, simulate_frames,
                                    stokes_of_field)
-from vecherald.topology import (_component_centroids, _half_max_radius,
-                                _merge_close, _ring_values,
-                                count_radial_lines, disclination_index,
-                                find_singularities, radial_line_count,
-                                rotation_between, s3_lobe_count)
+from vecherald.scenarios import ScenarioConfig, run_scenario
+from vecherald.topology import (CANDIDATE_FRAC, INDEX_SAMPLES, MERGE_RADIUS,
+                                RADIAL_SAMPLES, ROTATION_R_MIN, V_POINT_FRAC,
+                                SingularityReport, _component_centroids,
+                                _half_max_radius, _merge_close, _refine_zero,
+                                _ring_values, classify, count_radial_lines,
+                                disclination_index, find_singularities,
+                                radial_line_count, rotation_between,
+                                s3_lobe_count)
 
 
 def _stokes_of_ket(k, n=96, hw=4.0):
@@ -142,6 +148,20 @@ def test_rotation_tie_break_prefers_positive():
     a = _stokes_of_ket(pump)
     b = _heralded("FP", 0.5, "A")
     assert rotation_between(a, b) == pytest.approx(np.pi / 3, abs=2 * np.pi / 256)
+
+
+def test_rotation_rings_must_fit_in_the_window():
+    # half of half-width 0.25 is under ROTATION_R_MIN: the rings would run
+    # out of the grid, where bilinear sampling extrapolates from the edge
+    pump = pump_state(PumpSpec("FP", 0.5, 0.0))
+    a = _stokes_of_ket(pump, n=32, hw=0.25)
+    b = _stokes_of_ket(rotate_ket(pump, 0.35), n=32, hw=0.25)
+    assert 0.5 * a.grid.half_width < ROTATION_R_MIN
+    with pytest.raises(ValueError, match="too narrow"):
+        rotation_between(a, b)
+    res = run_scenario(ScenarioConfig(label="narrow", pump_kind="FP", pump_charge=0.5,
+                                      herald="A", nx=32, ny=32, half_width=0.25))
+    assert res.rotation is None
 
 
 def test_rotation_mismatch_raises():
@@ -273,9 +293,47 @@ def _merge_close_loop(points, min_sep):
     return [(m[0] / m[2], m[1] / m[2]) for m in merged]
 
 
+def _candidate_centroids(s):
+    """The raster-order centroids find_singularities starts from."""
+    u = np.hypot(s.s1, s.s2)
+    cand = u < CANDIDATE_FRAC * u.max()
+    cand[:2, :] = False
+    cand[-2:, :] = False
+    cand[:, :2] = False
+    cand[:, -2:] = False
+    return _component_centroids(cand, s.grid.x_axis(), s.grid.y_axis())
+
+
+def _noisy_map(kind, q, herald_label, n, noise, seed):
+    return run_scenario(ScenarioConfig(label="t", pump_kind=kind, pump_charge=q,
+                                       herald=herald_label, nx=n, ny=n,
+                                       noise_rms=noise, seed=seed)).stokes
+
+
 def test_merge_close_matches_loop():
     rng = np.random.default_rng(7)
     sets = [rng.uniform(-2.0, 2.0, (n, 2)) for n in (0, 1, 5, 60, 400)]
+    # the centroids of a noisy map: thousands of points, a few hundred clusters
+    sets.append(_candidate_centroids(_noisy_map("FP", 1.5, "D", 256, 0.03, 1)))
+    assert len(sets[-1]) > 5000
+    # points exactly on multiples of the hash-cell edge (1.01 * min_sep) and
+    # of the merge radius, where the cell division and the distance test
+    # are decided by rounding
+    for step in (1.01 * MERGE_RADIUS, MERGE_RADIUS):
+        k = np.arange(-4, 5) * step
+        grid_pts = np.array([(a, b) for a in k for b in k])
+        sets.append(grid_pts)
+        sets.append(rng.permutation(grid_pts))
+        sets.append(np.column_stack([k, np.zeros_like(k)]))
+    # pairs about MERGE_RADIUS apart, 10 apart from the next pair, their starts
+    # swept across one cell: in every direction, where squared distance and
+    # hypot disagree, and along x just inside the radius
+    n = 400
+    start = np.column_stack([np.linspace(0.0, 1.01 * MERGE_RADIUS, n), 10.0 * np.arange(n)])
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    for step in (MERGE_RADIUS * np.column_stack([np.cos(t), np.sin(t)]),
+                 [np.nextafter(MERGE_RADIUS, 0.0), 0.0]):
+        sets.append(np.stack([start, start + step], axis=1).reshape(-1, 2))
     # chains with steps just under the merge radius: each point can reach
     # several clusters, so the first match in creation order decides
     for step in (0.25, 0.29, 0.31):
@@ -286,7 +344,7 @@ def test_merge_close_matches_loop():
                           [0.1, 0.0], [0.55, 0.0], [0.35, 0.0]]))
     for pts in sets:
         points = [(float(x), float(y)) for x, y in pts]
-        assert _merge_close(points, 0.3) == _merge_close_loop(points, 0.3)
+        assert _merge_close(points, MERGE_RADIUS) == _merge_close_loop(points, MERGE_RADIUS)
 
 
 def _half_max_radius_loop(s, center, grid):
@@ -336,3 +394,161 @@ def test_find_singularities_1024_runtime():
         best = min(best, time.perf_counter() - t0)
     assert r.label == "star"
     assert best < 0.5
+
+
+def _disclination_index_loop(s, center, loop_radius):
+    """Reference: the single-loop winding body from before batching."""
+    s1 = _ring_values(s.s1, s.grid, center, loop_radius, INDEX_SAMPLES)
+    s2 = _ring_values(s.s2, s.grid, center, loop_radius, INDEX_SAMPLES)
+    psi = 0.5 * np.arctan2(s2, s1)
+    d = np.diff(psi, append=psi[:1])
+    d -= np.pi * np.round(d / np.pi)
+    raw = float(d.sum() / (2.0 * np.pi))
+    snapped = round(2.0 * raw) / 2.0
+    return snapped, abs(raw - snapped)
+
+
+def _count_radial_lines_loop(s, center, loop_radius):
+    """Reference: the single-loop radial-line body from before batching."""
+    th = np.arange(RADIAL_SAMPLES) * (2.0 * np.pi / RADIAL_SAMPLES)
+    w = (_ring_values(s.s1, s.grid, center, loop_radius, RADIAL_SAMPLES)
+         + 1j * _ring_values(s.s2, s.grid, center, loop_radius, RADIAL_SAMPLES))
+    z = w * np.exp(-2j * th)
+    peak = np.abs(z).max()
+    if peak <= 0.0:
+        raise ValueError("no linear polarization signal on the loop")
+    live = np.abs(z) > 1e-12 * peak
+    if np.abs(np.mean(z[live] / np.abs(z[live]))) > 0.9:
+        raise ValueError("azimuth keeps a fixed angle to the loop azimuth; "
+                         "radial lines are not discrete here")
+    pos = z.imag > 0
+    flips = pos != np.roll(pos, -1)
+    re_ok = (z.real + np.roll(z.real, -1)) > 0
+    return int(np.count_nonzero(flips & re_ok))
+
+
+def _find_singularities_loop(s, dropped):
+    """Reference: the per-point detector from before batching.  Counts the
+    points it drops for want of a loop radius and for a small index."""
+    g = s.grid
+    u = np.hypot(s.s1, s.s2)
+    if u.max() <= 0:
+        return []
+    out = []
+    xa, ya = g.x_axis(), g.y_axis()
+    refined = [_refine_zero(s, xa, ya, x, y)
+               for x, y in _merge_close(_candidate_centroids(s), MERGE_RADIUS)]
+    s0max = s.s0.max()
+    for x, y in sorted(_merge_close(refined, MERGE_RADIUS)):
+        s0_here = float(kernels.bilinear_sample(
+            s.s0, np.array([x]), np.array([y]),
+            -g.half_width, -g.half_width, g.pitch_x, g.pitch_y)[0])
+        probe = min(0.35, 0.5 * g.half_width)
+        ring_mean = float(_ring_values(s.s0, g, (x, y), probe, 64).mean())
+        kind = "V-point" if (s0_here < V_POINT_FRAC * s0max
+                             or s0_here < 0.05 * ring_mean) else "C-point"
+        if kind == "V-point":
+            r = _half_max_radius_loop(s, (x, y), g)
+        else:
+            r = 0.25
+        r = min(r, g.half_width - max(abs(x), abs(y)) - 3 * max(g.pitch_x, g.pitch_y))
+        if r <= 0:
+            dropped["radius"] += 1
+            continue
+        idx, res = _disclination_index_loop(s, (x, y), r)
+        if abs(idx) < 0.25:
+            dropped["index"] += 1
+            continue
+        try:
+            lines = None if abs(idx - 1.0) < 1e-9 else _count_radial_lines_loop(s, (x, y), r)
+        except ValueError:
+            lines = None
+        rep = SingularityReport(location=(x, y), kind=kind, index=idx,
+                                raw_index=idx + (res if idx >= 0 else -res),
+                                residual=res, label="", loop_radius=r,
+                                radial_lines=lines)
+        rep.label = classify(rep, s)
+        out.append(rep)
+    return out
+
+
+def _assert_same_reports(s):
+    dropped = {"radius": 0, "index": 0}
+    want = _find_singularities_loop(s, dropped)
+    got = find_singularities(s)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("location", "kind", "index", "raw_index", "residual",
+                      "label", "loop_radius", "radial_lines"):
+            assert getattr(a, field) == getattr(b, field), field
+            assert type(getattr(a, field)) is type(getattr(b, field)), field
+    return got, dropped
+
+
+NOISY_CASES = [(kind, q, h, noise, seed)
+               for kind, q, h in (("FP", 1.5, "D"), ("VV", 1.0, "none"))
+               for noise, seeds in ((0.0, (0,)), (0.01, (1, 2, 3)), (0.03, (1, 2, 3)))
+               for seed in seeds]
+
+
+@pytest.mark.parametrize("kind,q,h,noise,seed", NOISY_CASES)
+def test_batched_detector_matches_per_point_loop(kind, q, h, noise, seed):
+    s = _noisy_map(kind, q, h, 128, noise, seed)
+    got, dropped = _assert_same_reports(s)
+    if noise == 0.03:
+        # noise C-points and V-points are reported; merged points within three
+        # pixels of the edge get no loop radius, and small indices drop out
+        assert len(got) > 10
+        assert {r.kind for r in got} == {"C-point", "V-point"}
+        assert dropped["radius"] > 0 and dropped["index"] > 0
+
+
+def test_batched_detector_matches_loop_on_unit_index():
+    s = _heralded("FP", 1.0, "D", phi=np.pi)
+    (got,), _ = _assert_same_reports(s)
+    assert got.index == 1.0 and got.radial_lines is None and got.label == "radial"
+
+
+def test_single_loop_wrappers_match_reference():
+    clean = _heralded("FP", 1.5, "D", phi=np.pi / 4)
+    noisy = _noisy_map("FP", 1.5, "D", 96, 0.03, 3)
+    radial = _heralded("FP", 1.0, "D", phi=np.pi)  # unit index: no radial lines
+    # S1 = S2 = 0 on x < 0: loops there have no signal, and loops across
+    # x = 0 have exactly dead samples
+    dark = StokesMap(clean.grid, clean.s0, *(np.where(clean.grid.meshes()[0] < 0, 0.0, a)
+                                             for a in (clean.s1, clean.s2)), clean.s3)
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for s in (clean, noisy, radial, dark):
+        for (cx, cy), r in zip(rng.uniform(-1.5, 1.5, (40, 2)), rng.uniform(0.05, 1.5, 40)):
+            got, want = disclination_index(s, (cx, cy), r), _disclination_index_loop(s, (cx, cy), r)
+            # the sign of a zero index counts too
+            assert got == want and math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+            outcomes.add(got[0] == 0.0)
+            try:
+                want = _count_radial_lines_loop(s, (cx, cy), r)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    count_radial_lines(s, (cx, cy), r)
+                assert str(raised.value) == str(exc)
+                outcomes.add(str(exc)[:12])
+            else:
+                assert count_radial_lines(s, (cx, cy), r) == want
+    assert outcomes == {True, False, "no linear po", "azimuth keep"}
+
+
+def test_sampling_calls_do_not_grow_with_points(monkeypatch):
+    s = _noisy_map("FP", 1.5, "D", 128, 0.03, 1)
+    calls = []
+    sample = kernels.bilinear_sample
+
+    def counting(*args):
+        calls.append(args[1].size)
+        return sample(*args)
+
+    monkeypatch.setattr(kernels, "bilinear_sample", counting)
+    reports = find_singularities(s)
+    assert len(reports) >= 150
+    assert len(calls) <= 100
+    # no call takes more samples than the map holds
+    assert max(calls) <= s.grid.nx * s.grid.ny
