@@ -12,7 +12,7 @@ The loop measurements (winding index, radial lines, half-maximum radius) take
 the detector runs each stage as one array pass over all its points; the
 public single-loop functions are one-row calls of the same bodies.  Rows are
 sampled in blocks of at most nx * ny samples per bilinear_sample call, so no
-temporary outgrows one map.
+temporary holds more samples than one map.
 """
 
 from __future__ import annotations
@@ -68,10 +68,11 @@ def _ring_values(arr: np.ndarray, grid, center, radius, n: int) -> np.ndarray:
 def _in_blocks(grid, samples: int, rows, *cols) -> List[np.ndarray]:
     """rows(*cols) evaluated on blocks of rows, `samples` ring samples per row.
 
-    A block holds at most nx * ny samples (one row at least), so no temporary
-    outgrows one map, and its temporaries die before the next block is
-    sampled.  rows returns a tuple of per-row arrays; each is joined back in
-    row order.  No rows still make one empty block.
+    A block holds at most nx * ny samples (one row at least), so no
+    temporary holds more samples than one map, and its temporaries die
+    before the next block is sampled.  rows returns a tuple of per-row
+    arrays; each is joined back in row order.  No rows still make one empty
+    block.
     """
     step = max(1, grid.nx * grid.ny // samples)
     parts = [rows(*(c[i:i + step] for c in cols))
