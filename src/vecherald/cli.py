@@ -34,7 +34,8 @@ scenario config schema (JSON object; every key optional):
   envelope     "lg"|"gaussian" per-term radial profile
   polarimeter  {angles: [rad,...]|null, n_angles: int, noise_rms, seed}
   spdc         {crystal_phase: radians, spectrum: {ell: [re, im], ...}|null}
-  offset       {dx, dy (waist units, |offset|<0.5), applies_to: "signal"|"pump"}
+  offset       {dx, dy (waist units, |offset|<0.5, each < half_width/2),
+                applies_to: "signal"|"pump"}
 overrides: --set key=value with dotted keys, e.g. --set offset.dx=0.1
 """
 

@@ -87,7 +87,7 @@ def make_grid(nx: int = 256, ny: int = 256, half_width: float = 4.0) -> GridSpec
     return GridSpec(nx=nx, ny=ny, half_width=half_width)
 
 
-def _check_shift(grid: GridSpec, dx: float, dy: float) -> None:
+def check_shift(grid: GridSpec, dx: float, dy: float) -> None:
     """Shifts stay under half the window half-width so the support stays inside."""
     hw = grid.half_width
     if not (abs(dx) < 0.5 * hw and abs(dy) < 0.5 * hw):
@@ -103,7 +103,7 @@ def _mode(samples, grid: GridSpec, ell: int, waist: float,
     if not waist > 0:
         raise ValueError("waist must be positive")
     x0, y0 = center
-    _check_shift(grid, x0, y0)
+    check_shift(grid, x0, y0)
     xg, yg = grid.meshes()
     raw = samples(xg - x0, yg - y0, ell, waist)
     centred = raw if x0 == 0.0 and y0 == 0.0 else samples(xg, yg, ell, waist)
@@ -125,7 +125,7 @@ def lg_mode(grid: GridSpec, ell: int, waist: float = 1.0,
 
 
 def _helical_samples(xg, yg, ell: int, waist: float) -> np.ndarray:
-    raw = kernels.lg_samples(xg, yg, 0, waist).real.astype(np.complex128)
+    raw = kernels.lg_samples(xg, yg, 0, waist)
     if ell:
         raw = raw * np.exp(1j * ell * np.arctan2(yg, xg))
     return raw
@@ -158,7 +158,7 @@ def translate(grid: GridSpec, a: np.ndarray, dx: float, dy: float) -> np.ndarray
     For an exact shift of an analytic mode use the mode's center argument.
     Shifts are capped at half of the window half-width.
     """
-    _check_shift(grid, dx, dy)
+    check_shift(grid, dx, dy)
     hw = grid.half_width
     xg, yg = grid.meshes()
     vals = kernels.bilinear_sample(

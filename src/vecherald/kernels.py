@@ -1,7 +1,9 @@
 """Grid kernels, vectorized with numpy.
 
-These four routines dominate the runtime of every pipeline: mode synthesis,
-pointwise retarder application, Stokes evaluation, and bilinear sampling.
+lg_samples samples every mode, stokes_from_hv gives analytic Stokes maps, and
+bilinear_sample reads values off sampled maps (topology rings, translate).
+retarder_apply serves only the q-plate's pointwise grid route; the polarimeter
+evaluates the one output it keeps itself.
 """
 
 import numpy as np
@@ -10,8 +12,9 @@ import numpy as np
 def lg_samples(xg, yg, ell, w0):
     r2 = xg * xg + yg * yg
     amp = np.exp(-r2 / (w0 * w0))
-    if ell:
-        amp = amp * (np.sqrt(2.0 * r2) / w0) ** abs(ell)
+    if not ell:
+        return amp.astype(np.complex128)
+    amp = amp * (np.sqrt(2.0 * r2) / w0) ** abs(ell)
     return amp * np.exp(1j * ell * np.arctan2(yg, xg))
 
 

@@ -314,8 +314,8 @@ def rotate_ket(k: PolKet, angle: float) -> PolKet:
 
 def ket_to_field(k: PolKet, grid: GridSpec, waist: float = 1.0,
                  envelope: str = "lg",
-                 centers: Optional[Dict[TermKey, Tuple[float, float]]] = None
-                 ) -> VectorField:
+                 centers: Optional[Dict[TermKey, Tuple[float, float]]] = None,
+                 modes: Optional[Dict] = None) -> VectorField:
     """Synthesize the transverse field of a single-photon ket.
 
     Each (pol, ell, amp) term contributes amp times a unit-power mode to the
@@ -327,6 +327,11 @@ def ket_to_field(k: PolKet, grid: GridSpec, waist: float = 1.0,
     other term stays centred.  Output power equals the squared ket norm up to
     grid-quadrature error; nothing is renormalized, so synthesis stays
     exactly linear in the ket.
+
+    modes, when given, is a dict shared by several calls: each mode is built
+    once per (envelope, grid, waist, ell, center) key and reused afterwards.
+    The returned components are fresh arrays, so the shared modes are never
+    written to.
     """
     if envelope == "lg":
         make = lg_mode
@@ -335,14 +340,24 @@ def ket_to_field(k: PolKet, grid: GridSpec, waist: float = 1.0,
     else:
         raise ValueError(f"envelope must be 'lg' or 'gaussian', got {envelope!r}")
     centers = centers or {}
+    if modes is None:
+        modes = {}
+
+    def mode(ell, center):
+        key = (envelope, grid, waist, ell, center)
+        if key not in modes:
+            modes[key] = make(grid, ell, waist, center=center)
+        return modes[key]
+
     comps = []
     for pol in BASIS_PAIR[k.basis]:
         entries = sorted((ell, amp) for (p, ell), amp in k.terms.items() if p == pol)
-        modes = [make(grid, ell, waist, center=centers.get((pol, ell), (0.0, 0.0)))
-                 for ell, _ in entries]
+        # Build all of a component's modes before accumulating any: the
+        # allocation order sets the last bits of the sum.
+        built = [mode(ell, centers.get((pol, ell), (0.0, 0.0))) for ell, _ in entries]
         total = np.zeros((grid.ny, grid.nx), np.complex128)
-        for mode, (_, amp) in zip(modes, entries):
-            total += amp * mode
+        for m, (_, amp) in zip(built, entries):
+            total += amp * m
         comps.append(total)
     return VectorField(grid, *comps, basis=k.basis)
 

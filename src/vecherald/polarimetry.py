@@ -104,13 +104,21 @@ def stokes_of_field(f: VectorField) -> StokesMap:
 
 
 def simulate_frames(f: VectorField, cfg: PolarimeterConfig) -> np.ndarray:
-    """Stack of transmitted-intensity frames, one per analyzer angle."""
+    """Stack of transmitted-intensity frames, one per analyzer angle.
+
+    Only the H output of the quarter-wave retarder reaches the polarizer, so
+    each frame evaluates just that half of kernels.retarder_apply, with the
+    plate orientation as a scalar and the theta-independent c * E_H term
+    computed once.
+    """
     eh, ev = hv_arrays(f)
     frames = np.empty((len(cfg.angles), f.grid.ny, f.grid.nx), np.float64)
-    beta = np.empty((f.grid.ny, f.grid.nx), np.float64)
-    for i, th in enumerate(cfg.angles):
-        beta.fill(2.0 * th)
-        oh, _ = kernels.retarder_apply(eh, ev, beta, _QUARTER_WAVE)
+    c = np.cos(0.5 * _QUARTER_WAVE)
+    js = 1j * np.sin(0.5 * _QUARTER_WAVE)
+    two_beta = 2.0 * np.asarray(cfg.angles, np.float64)
+    ceh = c * eh
+    for i, (cb, sb) in enumerate(zip(np.cos(two_beta), np.sin(two_beta))):
+        oh = ceh + js * (cb * eh + sb * ev)
         frames[i] = oh.real ** 2 + oh.imag ** 2
     if cfg.noise_rms > 0:
         rng = np.random.default_rng(cfg.seed)

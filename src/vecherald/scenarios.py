@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import fileio
-from .fields import BASIS_PAIR, GridSpec, VectorField, make_grid
+from .fields import BASIS_PAIR, GridSpec, VectorField, check_shift, make_grid
 # Unused here; perfbench/tracing.py wraps these names in this module.
 from .fields import gaussian_helical_mode, lg_mode, translate  # noqa: F401
 from .kets import (POL_LABELS, PolKet, PumpSpec, SpdcConfig, basis_change,
@@ -115,8 +115,9 @@ class ScenarioConfig:
         if self.angles is not None:
             self.angles = tuple(float(a) for a in self.angles)
         # Build what a run builds: each object rejects its own bad values here,
-        # before any compute starts.
-        self.grid()
+        # before any compute starts.  The offset must fit the window the way
+        # a shifted mode checks it.
+        check_shift(self.grid(), self.offset_dx, self.offset_dy)
         response_matrix(self.polarimeter_config())
         self.spdc_config()
         _pump_ket(self)
@@ -242,24 +243,27 @@ def _offset_constituent(kl: PolKet) -> Tuple[str, int]:
 
 
 def _synthesize(k: PolKet, grid: GridSpec, waist: float, envelope: str,
-                dx: float, dy: float) -> VectorField:
-    """ket_to_field plus an optional transverse shift of one constituent."""
+                dx: float, dy: float, modes: Dict) -> VectorField:
+    """ket_to_field plus an optional transverse shift of one constituent.
+
+    modes is the mode memo shared by every synthesis of one run.
+    """
     if dx == 0.0 and dy == 0.0:
-        return ket_to_field(k, grid, waist, envelope=envelope)
+        return ket_to_field(k, grid, waist, envelope=envelope, modes=modes)
     kl = basis_change(k, "LR")
     return ket_to_field(kl, grid, waist, envelope=envelope,
-                        centers={_offset_constituent(kl): (dx, dy)})
+                        centers={_offset_constituent(kl): (dx, dy)}, modes=modes)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> ScenarioResult:
     """Execute one configured run and optionally export all artifacts."""
     grid = cfg.grid()
+    modes: Dict = {}  # pump and heralded field share their modes
     pump_ket = _pump_ket(cfg)
     pump_shift = cfg.offset_applies_to == "pump"
     pump_field = _synthesize(pump_ket, grid, cfg.waist, cfg.envelope,
                              cfg.offset_dx if pump_shift else 0.0,
-                             cfg.offset_dy if pump_shift else 0.0)
-    pump_stokes = stokes_of_field(pump_field)
+                             cfg.offset_dy if pump_shift else 0.0, modes)
 
     if cfg.herald == "none":
         heralded = None
@@ -273,7 +277,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> Scenario
                 "herald selection left a zero-norm state; config: "
                 + json.dumps(cfg.to_dict(), sort_keys=True)) from exc
         field = _synthesize(heralded, grid, cfg.waist, cfg.envelope,
-                            cfg.offset_dx, cfg.offset_dy)
+                            cfg.offset_dx, cfg.offset_dy, modes)
+    del modes  # free the shared modes before any map is allocated
+    pump_stokes = stokes_of_field(pump_field)
 
     pcfg = cfg.polarimeter_config()
     frames = simulate_frames(field, pcfg)

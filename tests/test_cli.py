@@ -85,6 +85,22 @@ def test_invalid_value_exits_three_before_compute(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    ["herald=\"A\"", "grid.half_width=0.5", "offset.dx=0.49"],
+    ["herald=\"A\"", "grid.half_width=0.5", "offset.dy=-0.3",
+     "offset.applies_to=\"pump\""]])
+def test_offset_outside_window_exits_three_before_compute(tmp_path, capsys, overrides):
+    # Each offset passes the half-waist check but exceeds half the window's
+    # half-width, which a shifted mode rejects.
+    out = tmp_path / "run"
+    argv = ["scenario", "--out", str(out)]
+    for o in overrides:
+        argv += ["--set", o]
+    assert parse_and_dispatch(argv) == 3
+    assert "error: config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _tree_names(root):
     names = []
     for base, _, files in os.walk(root):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from vecherald.fields import make_grid, polarized_mode
-from vecherald.kets import PolKet, ket_to_field
+from vecherald import kernels
+from vecherald.fields import hv_arrays, make_grid, polarized_mode
+from vecherald.kets import (PolKet, PumpSpec, herald, ket_to_field,
+                            project_idler_oam0, pump_state, spdc_state)
 from vecherald.polarimetry import (CLASS_LEFT, CLASS_LINEAR, CLASS_RIGHT,
                                    PolarimeterConfig, StokesMap, default_angles,
                                    ellipse_map, reconstruct_stokes,
@@ -63,6 +65,41 @@ def test_structured_field_roundtrip():
     err = max(np.abs(x - y).max() for x, y in
               ((ref.s0, rec.s0), (ref.s1, rec.s1), (ref.s2, rec.s2), (ref.s3, rec.s3)))
     assert err < 1e-9 * ref.s0.max()
+
+
+def _frames_by_retarder_loop(f, cfg):
+    """Reference frames: one full retarder_apply per angle, keeping only oh."""
+    eh, ev = hv_arrays(f)
+    frames = np.empty((len(cfg.angles), f.grid.ny, f.grid.nx), np.float64)
+    beta = np.empty((f.grid.ny, f.grid.nx), np.float64)
+    for i, th in enumerate(cfg.angles):
+        beta.fill(2.0 * th)
+        oh, _ = kernels.retarder_apply(eh, ev, beta, 0.5 * np.pi)
+        frames[i] = oh.real ** 2 + oh.imag ** 2
+    if cfg.noise_rms > 0:
+        rng = np.random.default_rng(cfg.seed)
+        frames += rng.normal(0.0, cfg.noise_rms * frames.max(), frames.shape)
+    return frames
+
+
+def _fp_q15_heralded_on_d():
+    pump = pump_state(PumpSpec("FP", 1.5, 0.25 * np.pi))
+    return herald(project_idler_oam0(spdc_state(pump)), "D")
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("ket", [_fp_q15_heralded_on_d,
+                                 lambda: pump_state(PumpSpec("VV", 1.0, 0.0))],
+                         ids=["fp_q15_D", "vv_q1"])
+@pytest.mark.parametrize("noise_rms", [0.0, 0.03])
+@pytest.mark.parametrize("angles", [default_angles(), default_angles(5)],
+                         ids=["8_angles", "5_angles"])
+def test_simulate_frames_matches_retarder_loop(n, ket, noise_rms, angles):
+    f = ket_to_field(ket(), make_grid(n, n, 4.0))
+    cfg = PolarimeterConfig(angles=angles, noise_rms=noise_rms, seed=3)
+    got = simulate_frames(f, cfg)
+    want = _frames_by_retarder_loop(f, cfg)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_noise_is_seeded_and_reproducible():

@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from vecherald import kets
 from vecherald.fields import make_grid
-from vecherald.kets import (PumpSpec, basis_change, ket_to_field, pump_state,
-                            rotate_ket)
+from vecherald.kets import (PolKet, PumpSpec, basis_change, ket_to_field,
+                            pump_state, rotate_ket)
 from vecherald.polarimetry import stokes_of_field
 from vecherald.scenarios import (ScenarioConfig, _load_cases, _pump_ket,
                                  deformation_metric, run_figure_suite, run_scenario)
@@ -217,3 +218,51 @@ def test_odd_grid_keeps_central_singularity(kind, charge, label):
         s = min(res.singularities, key=lambda s: np.hypot(*s.location))
         central.append((s.kind, s.index, s.label, s.radial_lines))
     assert central[0] == central[1]
+
+
+def _count_mode_builds(monkeypatch):
+    """Record the (ell, center) of every mode that kets builds."""
+    built = []
+    for name in ("lg_mode", "gaussian_helical_mode"):
+        make = getattr(kets, name)
+
+        def counted(grid, ell, waist=1.0, center=(0.0, 0.0), make=make):
+            built.append((ell, tuple(center)))
+            return make(grid, ell, waist, center=center)
+        monkeypatch.setattr(kets, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("kw, n_modes", [
+    # pump and heralded field both use ell 1 and ell 0, all centred
+    ({}, 2),
+    ({"envelope": "gaussian"}, 2),
+    # the shifted L vortex of the signal is a third mode
+    ({"offset": {"dx": 0.1, "dy": 0.0}}, 3),
+    ({"offset": {"dx": 0.1, "dy": 0.0}, "envelope": "gaussian"}, 3),
+    # a shifted pump shifts the signal's L vortex alike
+    ({"offset": {"dx": 0.0, "dy": -0.2, "applies_to": "pump"}}, 2),
+])
+def test_run_builds_each_mode_once(monkeypatch, kw, n_modes):
+    built = _count_mode_builds(monkeypatch)
+    res = run_scenario(_cfg(herald="A", **kw))
+    assert len(built) == len(set(built)) == n_modes
+    # FP q=1/2 heralded on A keeps the pump's two orbital indices
+    assert {ell for (_, ell) in res.heralded_ket.terms} == {0, 1}
+
+
+@pytest.mark.parametrize("envelope", ["lg", "gaussian"])
+def test_shared_modes_give_equal_fields_and_stay_unchanged(envelope):
+    g = make_grid(48, 48, 4.0)
+    first = pump_state(PumpSpec("VV", 1.0, 0.3))
+    second = PolKet.from_terms([("H", 2, 0.6), ("V", -2, 0.8j), ("D", 0, 0.5)])
+    centers = {("H", 2): (0.1, -0.05)}
+    shared = {}
+    for k, c in ((first, None), (second, centers), (second, None)):
+        got = ket_to_field(k, g, envelope=envelope, centers=c, modes=shared)
+        want = ket_to_field(k, g, envelope=envelope, centers=c)
+        assert (got.comp1 == want.comp1).all() and (got.comp2 == want.comp2).all()
+    kept = {key: m.copy() for key, m in shared.items()}
+    got.comp1 += 1.0
+    got.comp2 *= 2.0
+    assert all((shared[key] == m).all() for key, m in kept.items())
